@@ -113,7 +113,7 @@ inline RunResult RunMode(const DatabaseOptions& opts, const BenchEnv& env,
 }
 
 /// Double-keyed variant of RunMode: loads genuine double columns and
-/// replays the same workload through the double-bound facade.
+/// replays the same workload with double bounds.
 inline RunResult RunModeF64(const DatabaseOptions& opts, const BenchEnv& env,
                             size_t num_attrs,
                             const std::vector<RangeQuery>& queries) {
@@ -121,6 +121,14 @@ inline RunResult RunModeF64(const DatabaseOptions& opts, const BenchEnv& env,
   LoadUniformDoubleTable(db, "r", num_attrs, env.rows, env.domain, env.seed);
   const auto names = MakeAttributeNames(num_attrs);
   return RunWorkloadF64(db, "r", names, queries);
+}
+
+/// select count(*) where low <= column < high: the one-predicate
+/// QuerySpec most benches time.
+inline size_t Count(Database& db, const ColumnHandle& column, KeyScalar low,
+                    KeyScalar high) {
+  return static_cast<size_t>(
+      db.Execute(QuerySpec().Where(column, low, high).Count()).values[0].i);
 }
 
 /// Raises the soft RLIMIT_NOFILE toward \p want (bounded by the hard

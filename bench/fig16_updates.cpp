@@ -22,12 +22,12 @@ double RunScenario(Database& db, const std::vector<WorkloadOp>& ops) {
     switch (op.kind) {
       case WorkloadOp::Kind::kQuery: {
         Timer t;
-        db.CountRange("r", "a0", op.query.low, op.query.high);
+        Count(db, db.Resolve("r", "a0"), op.query.low, op.query.high);
         query_seconds += t.ElapsedSeconds();
         break;
       }
       case WorkloadOp::Kind::kInsert:
-        db.Insert("r", "a0", op.insert_value);
+        db.Insert(db.Resolve("r", "a0"), op.insert_value);
         break;
       case WorkloadOp::Kind::kIdle:
         std::this_thread::sleep_for(

@@ -23,7 +23,9 @@ double RunSession(Database& db, const std::vector<RangeQuery>& queries,
   double first_region = -1;
   for (size_t i = 0; i < queries.size(); ++i) {
     const auto& q = queries[i];
-    db.CountRange("sky", names[q.attr], q.low, q.high);
+    db.Execute(
+        QuerySpec().Where(db.Resolve("sky", names[q.attr]), q.low, q.high)
+            .Count());
     if (i == queries.size() / 4 && first_region < 0) {
       first_region = wall.ElapsedSeconds();
       std::printf("  first region explored after %.3fs (%zu queries)\n",

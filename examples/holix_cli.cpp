@@ -20,10 +20,12 @@
 /// GetStats) and prints the human-readable one-pager: every holix_*
 /// counter/gauge/histogram plus the recent-query trace ring.
 ///
-/// `query` is the protocol-v3 declarative form: a conjunction of range
-/// predicates (each one cracks its own index server-side) answered with
-/// any mix of count / per-column sums / rowids in one round trip; with no
-/// result keyword it defaults to `count`.
+/// `query` is the general form: a conjunction of range predicates (each
+/// one cracks its own index server-side) answered with any mix of count /
+/// per-column sums / rowids in one round trip; with no result keyword it
+/// defaults to `count`. `count`, `sum`, `select` and `psum` are its
+/// one-predicate, one-result spellings; every query verb sends one
+/// ExecuteQuery frame.
 ///
 /// Bounds and values are typed: a token that parses as a plain integer is
 /// sent as an int64 scalar, anything else ("2.5", "1e9", "inf", "nan") as
@@ -83,6 +85,41 @@ void PrintHelp() {
       "         multi-predicate conjunction (default result: count)\n"
       "  stats                                  server telemetry snapshot\n"
       "  help | quit\n");
+}
+
+/// Prints "<n> rowids" followed by the first eight rowids.
+void PrintRowIds(const std::vector<uint64_t>& rowids) {
+  std::printf("%zu rowids", rowids.size());
+  for (size_t i = 0; i < rowids.size() && i < 8; ++i) {
+    std::printf(" %llu", static_cast<unsigned long long>(rowids[i]));
+  }
+  std::printf(rowids.size() > 8 ? " ...\n" : "\n");
+}
+
+/// Parses the tail of a one-predicate verb into its wire predicate and
+/// result: count / sum / select take `<column> <low> <high>`, psum takes
+/// `<where> <proj> <low> <high>`.
+bool ParseVerbCommand(const std::string& cmd, std::istringstream& in,
+                      std::vector<holix::net::QueryPredicateWire>* preds,
+                      std::vector<holix::net::QueryResultSpecWire>* results) {
+  holix::net::QueryPredicateWire p;
+  std::string proj, lo_tok, hi_tok;
+  if (!(in >> p.column) || (cmd == "psum" && !(in >> proj)) ||
+      !(in >> lo_tok >> hi_tok) || !ParseScalar(lo_tok, &p.low) ||
+      !ParseScalar(hi_tok, &p.high)) {
+    return false;
+  }
+  if (cmd == "count") {
+    results->push_back({0, ""});
+  } else if (cmd == "sum") {
+    results->push_back({1, p.column});
+  } else if (cmd == "select") {
+    results->push_back({2, ""});
+  } else {
+    results->push_back({3, proj});
+  }
+  preds->push_back(std::move(p));
+  return true;
 }
 
 /// Parses the `query` command tail into wire predicates + result specs.
@@ -175,64 +212,36 @@ int main(int argc, char** argv) {
         PrintHelp();
       } else if (cmd == "stats") {
         std::printf("%s", holix::obs::HumanText(client.GetStats()).c_str());
-      } else if (cmd == "count" || cmd == "sum" || cmd == "select") {
-        std::string table, column, lo_tok, hi_tok;
-        KeyScalar low, high;
-        if (!(in >> table >> column >> lo_tok >> hi_tok) ||
-            !ParseScalar(lo_tok, &low) || !ParseScalar(hi_tok, &high)) {
-          std::printf("usage: %s <table> <column> <low> <high>\n",
-                      cmd.c_str());
-          continue;
-        }
-        if (cmd == "count") {
-          std::printf("%llu\n",
-                      static_cast<unsigned long long>(client.CountRangeScalar(
-                          session, table, column, low, high)));
-        } else if (cmd == "sum") {
-          PrintScalar(
-              client.SumRangeScalar(session, table, column, low, high));
-        } else {
-          const auto rowids =
-              client.SelectRowIdsScalar(session, table, column, low, high);
-          std::printf("%zu rowids", rowids.size());
-          for (size_t i = 0; i < rowids.size() && i < 8; ++i) {
-            std::printf(" %llu", static_cast<unsigned long long>(rowids[i]));
-          }
-          std::printf(rowids.size() > 8 ? " ...\n" : "\n");
-        }
-      } else if (cmd == "query") {
+      } else if (cmd == "count" || cmd == "sum" || cmd == "select" ||
+                 cmd == "psum" || cmd == "query") {
         std::string table;
         std::vector<holix::net::QueryPredicateWire> preds;
         std::vector<holix::net::QueryResultSpecWire> results;
-        if (!(in >> table) || !ParseQueryCommand(in, &preds, &results)) {
-          std::printf(
-              "usage: query <table> <col> <lo> <hi> [and <col> <lo> <hi>]..."
-              " [count] [sum <col>] [psum <col>] [rowids]\n");
+        const bool ok = (in >> table) &&
+                        (cmd == "query"
+                             ? ParseQueryCommand(in, &preds, &results)
+                             : ParseVerbCommand(cmd, in, &preds, &results));
+        if (!ok) {
+          if (cmd == "query") {
+            std::printf(
+                "usage: query <table> <col> <lo> <hi> [and <col> <lo> <hi>]..."
+                " [count] [sum <col>] [psum <col>] [rowids]\n");
+          } else if (cmd == "psum") {
+            std::printf("usage: psum <table> <where> <proj> <low> <high>\n");
+          } else {
+            std::printf("usage: %s <table> <column> <low> <high>\n",
+                        cmd.c_str());
+          }
           continue;
         }
         const auto res = client.ExecuteQuery(session, table, preds, results);
         for (size_t i = 0; i < results.size() && i < res.values.size(); ++i) {
           if (results[i].kind == 2) {
-            std::printf("%zu rowids", res.rowids.size());
-            for (size_t j = 0; j < res.rowids.size() && j < 8; ++j) {
-              std::printf(" %llu",
-                          static_cast<unsigned long long>(res.rowids[j]));
-            }
-            std::printf(res.rowids.size() > 8 ? " ...\n" : "\n");
+            PrintRowIds(res.rowids);
           } else {
             PrintScalar(res.values[i]);
           }
         }
-      } else if (cmd == "psum") {
-        std::string table, where_col, proj_col, lo_tok, hi_tok;
-        KeyScalar low, high;
-        if (!(in >> table >> where_col >> proj_col >> lo_tok >> hi_tok) ||
-            !ParseScalar(lo_tok, &low) || !ParseScalar(hi_tok, &high)) {
-          std::printf("usage: psum <table> <where> <proj> <low> <high>\n");
-          continue;
-        }
-        PrintScalar(client.ProjectSumScalar(session, table, where_col,
-                                            proj_col, low, high));
       } else if (cmd == "insert" || cmd == "delete") {
         std::string table, column, val_tok;
         KeyScalar value;
@@ -243,11 +252,11 @@ int main(int argc, char** argv) {
         }
         if (cmd == "insert") {
           std::printf("rowid %llu\n",
-                      static_cast<unsigned long long>(client.InsertScalar(
-                          session, table, column, value)));
+                      static_cast<unsigned long long>(
+                          client.Insert(session, table, column, value)));
         } else {
           std::printf("%s\n",
-                      client.DeleteScalar(session, table, column, value)
+                      client.Delete(session, table, column, value)
                           ? "deleted"
                           : "not found");
         }

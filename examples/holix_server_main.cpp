@@ -6,7 +6,7 @@
 ///   holix_server [--port N] [--mode adaptive|holistic|...] [--rows N]
 ///                [--attrs N] [--threads N] [--io-threads N]
 ///                [--kernel scalar|oop|parallel|simd]
-///                [--no-shared-scans] [--seed N] [--metrics-port N]
+///                [--seed N] [--metrics-port N]
 ///                [--data-dir PATH] [--fsync always|interval|never]
 ///                [--checkpoint-interval SECONDS]
 ///
@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
   size_t threads = 2;
   size_t io_threads = 2;
   holix::CrackAlgo kernel = holix::CrackAlgo::kParallel;
-  bool shared_scans = true;
   uint64_t seed = 1907;
   uint16_t metrics_port = 0;
   bool metrics_http = false;
@@ -118,8 +117,6 @@ int main(int argc, char** argv) {
       io_threads = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--kernel") {
       kernel = ParseKernel(next());
-    } else if (arg == "--no-shared-scans") {
-      shared_scans = false;
     } else if (arg == "--seed") {
       seed = static_cast<uint64_t>(std::atoll(next()));
     } else if (arg == "--metrics-port") {
@@ -143,7 +140,7 @@ int main(int argc, char** argv) {
                    "usage: holix_server [--port N] [--mode M] [--rows N] "
                    "[--attrs N] [--threads N] [--io-threads N] "
                    "[--kernel scalar|oop|parallel|simd] "
-                   "[--no-shared-scans] [--seed N] [--metrics-port N] "
+                   "[--seed N] [--metrics-port N] "
                    "[--data-dir PATH] [--fsync always|interval|never] "
                    "[--checkpoint-interval SECONDS]\n");
       return arg == "--help" ? 0 : 2;
@@ -191,7 +188,6 @@ int main(int argc, char** argv) {
   holix::net::ServerOptions server_opts;
   server_opts.port = port;
   server_opts.io_threads = io_threads;
-  server_opts.shared_scans = shared_scans;
   server_opts.metrics_http = metrics_http;
   server_opts.metrics_port = metrics_port;
   holix::net::HolixServer server(db, server_opts);
@@ -224,13 +220,10 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   std::printf(
-      "shutting down: %llu connections (peak %llu open), %llu requests, "
-      "%llu shared-scan batches for %llu requests\n",
+      "shutting down: %llu connections (peak %llu open), %llu requests\n",
       static_cast<unsigned long long>(server.TotalConnections()),
       static_cast<unsigned long long>(server.PeakConnections()),
-      static_cast<unsigned long long>(server.TotalRequests()),
-      static_cast<unsigned long long>(server.SharedScanBatches()),
-      static_cast<unsigned long long>(server.SharedScanRequests()));
+      static_cast<unsigned long long>(server.TotalRequests()));
   server.Stop();
   std::printf("clean shutdown\n");
   return 0;

@@ -132,8 +132,11 @@ class CrackerColumn {
 
   /// Range select: returns the contiguous positions whose values lie in
   /// [low, high). Cracks at both bounds as a side effect; merges pending
-  /// updates overlapping the range first (Ripple, [28]).
-  PositionRange SelectRange(T low, T high, const CrackConfig& cfg = {}) {
+  /// updates overlapping the range first (Ripple, [28]). The positions stay
+  /// valid only until the next Ripple merge shifts rows; \p layout, when
+  /// given, receives the layout they were computed in (see ScanRangeAt).
+  PositionRange SelectRange(T low, T high, const CrackConfig& cfg = {},
+                            uint64_t* layout = nullptr) {
     stats_.accesses.fetch_add(1, std::memory_order_relaxed);
     if (!KeyTraits<T>::Less(low, high)) return {0, 0};
     // Merge before the emptiness check: a column loaded empty can still
@@ -142,6 +145,9 @@ class CrackerColumn {
     if (size() == 0) return {0, 0};
 
     ReadGuard column_guard(column_latch_);
+    if (layout != nullptr) {
+      *layout = layout_epoch_.load(std::memory_order_relaxed);
+    }
     // Exact hit: both bounds already are boundaries -> no reorganization.
     {
       std::shared_lock<std::shared_mutex> lk(tree_mu_);
@@ -165,15 +171,19 @@ class CrackerColumn {
   /// the order's top this is exactly SelectRange(low, Next(high)); at
   /// high == Highest() it cracks the low bound only and the qualifying
   /// rows run to the end of the column.
-  PositionRange SelectRangeClosed(T low, T high, const CrackConfig& cfg = {}) {
+  PositionRange SelectRangeClosed(T low, T high, const CrackConfig& cfg = {},
+                                  uint64_t* layout = nullptr) {
     if (!KeyTraits<T>::IsHighest(high)) {
-      return SelectRange(low, KeyTraits<T>::Next(high), cfg);
+      return SelectRange(low, KeyTraits<T>::Next(high), cfg, layout);
     }
     stats_.accesses.fetch_add(1, std::memory_order_relaxed);
     if (KeyTraits<T>::Less(high, low)) return {0, 0};
     MergePendingAtLeast(low);
     if (size() == 0) return {0, 0};
     ReadGuard column_guard(column_latch_);
+    if (layout != nullptr) {
+      *layout = layout_epoch_.load(std::memory_order_relaxed);
+    }
     {
       std::shared_lock<std::shared_mutex> lk(tree_mu_);
       if (index_.HasBoundary(low)) {
@@ -287,40 +297,26 @@ class CrackerColumn {
   /// latches so concurrent cracks of the same pieces cannot tear rows.
   template <typename Fn>
   void ScanRange(PositionRange range, Fn&& fn) const {
-    if (range.begin < range.end) {
-      const uint64_t nbytes = static_cast<uint64_t>(range.size()) *
-                              (sizeof(T) + sizeof(RowId));
-      static obs::Counter& scan_bytes =
-          obs::MetricsRegistry::Global().GetCounter("holix_scan_bytes_total");
-      scan_bytes.Inc(nbytes);
-      obs::TraceAddBytesScanned(nbytes);
-    }
     ReadGuard column_guard(column_latch_);
-    size_t pos = range.begin;
-    while (pos < range.end) {
-      PieceRef<T> piece;
-      {
-        std::shared_lock<std::shared_mutex> lk(tree_mu_);
-        piece = index_.FindPieceByPosition(pos, size());
-      }
-      piece.latch->LockRead();
-      // Revalidate: the piece may have been split between lookup and latch
-      // acquisition, in which case positions past the new cut belong to a
-      // different latch and must not be read under this one.
-      PieceRef<T> cur;
-      {
-        std::shared_lock<std::shared_mutex> lk(tree_mu_);
-        cur = index_.FindPieceByPosition(pos, size());
-      }
-      if (cur.latch != piece.latch) {
-        piece.latch->UnlockRead();
-        continue;
-      }
-      const size_t stop = std::min(range.end, cur.end);
-      for (size_t i = pos; i < stop; ++i) fn(values_[i], rowids_[i]);
-      piece.latch->UnlockRead();
-      pos = stop;
-    }
+    // The range may predate a Ripple delete merge that shrank the column
+    // (a caller selects, releases the latch, then scans). Positions past
+    // the current size no longer exist, and the piece lookup could never
+    // advance past them; the size is stable while the latch is held.
+    range.end = std::min(range.end, size());
+    ScanLatched(range, fn);
+  }
+
+  /// ScanRange over a range selected in layout \p layout (SelectRange's
+  /// out-parameter). When a Ripple merge has shifted rows since, the
+  /// positions no longer hold the selected rows: visits nothing and returns
+  /// false, and the caller selects again.
+  template <typename Fn>
+  bool ScanRangeAt(PositionRange range, uint64_t layout, Fn&& fn) const {
+    if (range.empty()) return true;
+    ReadGuard column_guard(column_latch_);
+    if (layout_epoch_.load(std::memory_order_relaxed) != layout) return false;
+    ScanLatched(range, fn);
+    return true;
   }
 
   /// Sum of values in \p range (a cheap aggregate used by benchmarks to
@@ -332,14 +328,6 @@ class CrackerColumn {
       sum += static_cast<typename KeyTraits<T>::Sum>(v);
     });
     return sum;
-  }
-
-  /// Materializes the rowids in \p range (tuple reconstruction input).
-  PositionList FetchRowIds(PositionRange range) const {
-    PositionList out;
-    out.reserve(range.size());
-    ScanRange(range, [&](T, RowId r) { out.push_back(r); });
-    return out;
   }
 
   /// Unsynchronized value access. Callers must guarantee quiescence (tests,
@@ -504,11 +492,51 @@ class CrackerColumn {
   }
 
  private:
+  /// The scan loop of ScanRange; the caller holds the column read latch
+  /// and \p range lies within the column.
+  template <typename Fn>
+  void ScanLatched(PositionRange range, Fn& fn) const {
+    if (range.begin < range.end) {
+      const uint64_t nbytes = static_cast<uint64_t>(range.size()) *
+                              (sizeof(T) + sizeof(RowId));
+      static obs::Counter& scan_bytes =
+          obs::MetricsRegistry::Global().GetCounter("holix_scan_bytes_total");
+      scan_bytes.Inc(nbytes);
+      obs::TraceAddBytesScanned(nbytes);
+    }
+    size_t pos = range.begin;
+    while (pos < range.end) {
+      PieceRef<T> piece;
+      {
+        std::shared_lock<std::shared_mutex> lk(tree_mu_);
+        piece = index_.FindPieceByPosition(pos, size());
+      }
+      piece.latch->LockRead();
+      // Revalidate: the piece may have been split between lookup and latch
+      // acquisition, in which case positions past the new cut belong to a
+      // different latch and must not be read under this one.
+      PieceRef<T> cur;
+      {
+        std::shared_lock<std::shared_mutex> lk(tree_mu_);
+        cur = index_.FindPieceByPosition(pos, size());
+      }
+      if (cur.latch != piece.latch) {
+        piece.latch->UnlockRead();
+        continue;
+      }
+      const size_t stop = std::min(range.end, cur.end);
+      for (size_t i = pos; i < stop; ++i) fn(values_[i], rowids_[i]);
+      piece.latch->UnlockRead();
+      pos = stop;
+    }
+  }
+
   /// Ripple-applies already-extracted pending entries. The caller holds the
   /// column write latch and the unique tree lock.
   void ApplyTakenLocked(std::vector<std::pair<T, RowId>> ins,
                         std::vector<std::pair<T, RowId>> del) {
     if (ins.empty() && del.empty()) return;
+    layout_epoch_.fetch_add(1, std::memory_order_relaxed);
     auto nodes = index_.CollectBoundaries();
     for (const auto& [v, rid] : ins) RippleInsert(nodes, v, rid);
     for (const auto& [v, rid] : del) RippleDelete(nodes, v, rid);
@@ -782,6 +810,10 @@ class CrackerColumn {
   mutable RwSpinLatch column_latch_;
   std::atomic<size_t> num_boundaries_{0};
   std::atomic<size_t> row_count_{0};
+  /// Bumped by every Ripple merge (under the exclusive column latch), which
+  /// is what shifts rows between positions; cracks only reorder rows
+  /// within a piece and leave it alone.
+  std::atomic<uint64_t> layout_epoch_{0};
 
   PendingUpdates<T> pending_;
   CrackStats stats_;

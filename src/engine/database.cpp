@@ -147,56 +147,10 @@ QueryResult Database::Execute(const QuerySpec& spec,
   return executor_->Execute(spec, qctx);
 }
 
-// --- Scalar shims (one-predicate QuerySpecs) --------------------------------
+// --- Updates ----------------------------------------------------------------
 
-size_t Database::CountRangeScalar(const ColumnHandle& column, KeyScalar low,
-                                  KeyScalar high, const QueryContext& qctx) {
-  return static_cast<size_t>(
-      Execute(QuerySpec::Single(column, low, high,
-                                {ResultRequest::kCount, {}}),
-              qctx)
-          .values[0]
-          .i);
-}
-
-std::vector<uint64_t> Database::CountRangeBatchScalar(
-    const ColumnHandle& column,
-    const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-    const QueryContext& qctx) {
-  SlotLease lease(slot_monitor_, options_.user_threads);
-  return executor_->CountRangeBatch(column, ranges, qctx);
-}
-
-KeyScalar Database::SumRangeScalar(const ColumnHandle& column, KeyScalar low,
-                                   KeyScalar high, const QueryContext& qctx) {
-  return Execute(QuerySpec::Single(column, low, high,
-                                   {ResultRequest::kSum, column}),
-                 qctx)
-      .values[0];
-}
-
-PositionList Database::SelectRowIdsScalar(const ColumnHandle& column,
-                                          KeyScalar low, KeyScalar high,
-                                          const QueryContext& qctx) {
-  return std::move(Execute(QuerySpec::Single(column, low, high,
-                                             {ResultRequest::kRowIds, {}}),
-                           qctx)
-                       .rowids);
-}
-
-KeyScalar Database::ProjectSumScalar(const ColumnHandle& where_column,
-                                     const ColumnHandle& project_column,
-                                     KeyScalar low, KeyScalar high,
-                                     const QueryContext& qctx) {
-  return Execute(QuerySpec::Single(where_column, low, high,
-                                   {ResultRequest::kProjectSum,
-                                    project_column}),
-                 qctx)
-      .values[0];
-}
-
-RowId Database::InsertScalar(const ColumnHandle& column, KeyScalar value,
-                             const QueryContext& qctx) {
+RowId Database::Insert(const ColumnHandle& column, KeyScalar value,
+                       const QueryContext& qctx) {
   // Shared barrier around apply+log: a checkpoint's state cut (unique
   // barrier) can never observe an applied-but-unlogged update.
   std::shared_lock<std::shared_mutex> barrier(update_barrier_);
@@ -212,8 +166,8 @@ RowId Database::InsertScalar(const ColumnHandle& column, KeyScalar value,
   return rid;
 }
 
-bool Database::DeleteScalar(const ColumnHandle& column, KeyScalar value,
-                            const QueryContext& qctx) {
+bool Database::Delete(const ColumnHandle& column, KeyScalar value,
+                      const QueryContext& qctx) {
   std::shared_lock<std::shared_mutex> barrier(update_barrier_);
   RowId rid = 0;
   const bool found = executor_->Delete(column, value, qctx, &rid);
@@ -457,85 +411,6 @@ void Database::FinishRestore(const DurableDatabaseState& state) {
       }
     });
   }
-}
-
-// --- int64 facade -----------------------------------------------------------
-
-size_t Database::CountRange(const ColumnHandle& column, int64_t low,
-                            int64_t high, const QueryContext& qctx) {
-  return CountRangeScalar(column, KeyScalar::I64(low), KeyScalar::I64(high),
-                          qctx);
-}
-
-int64_t Database::SumRange(const ColumnHandle& column, int64_t low,
-                           int64_t high, const QueryContext& qctx) {
-  return SumRangeScalar(column, KeyScalar::I64(low), KeyScalar::I64(high),
-                        qctx)
-      .AsI64Saturating();
-}
-
-PositionList Database::SelectRowIds(const ColumnHandle& column, int64_t low,
-                                    int64_t high, const QueryContext& qctx) {
-  return SelectRowIdsScalar(column, KeyScalar::I64(low), KeyScalar::I64(high),
-                            qctx);
-}
-
-int64_t Database::ProjectSum(const ColumnHandle& where_column,
-                             const ColumnHandle& project_column, int64_t low,
-                             int64_t high, const QueryContext& qctx) {
-  return ProjectSumScalar(where_column, project_column, KeyScalar::I64(low),
-                          KeyScalar::I64(high), qctx)
-      .AsI64Saturating();
-}
-
-RowId Database::Insert(const ColumnHandle& column, int64_t value,
-                       const QueryContext& qctx) {
-  return InsertScalar(column, KeyScalar::I64(value), qctx);
-}
-
-bool Database::Delete(const ColumnHandle& column, int64_t value,
-                      const QueryContext& qctx) {
-  return DeleteScalar(column, KeyScalar::I64(value), qctx);
-}
-
-// --- double facade ----------------------------------------------------------
-
-size_t Database::CountRangeF64(const ColumnHandle& column, double low,
-                               double high, const QueryContext& qctx) {
-  return CountRangeScalar(column, KeyScalar::F64(low), KeyScalar::F64(high),
-                          qctx);
-}
-
-double Database::SumRangeF64(const ColumnHandle& column, double low,
-                             double high, const QueryContext& qctx) {
-  return SumRangeScalar(column, KeyScalar::F64(low), KeyScalar::F64(high),
-                        qctx)
-      .AsF64();
-}
-
-PositionList Database::SelectRowIdsF64(const ColumnHandle& column, double low,
-                                       double high,
-                                       const QueryContext& qctx) {
-  return SelectRowIdsScalar(column, KeyScalar::F64(low), KeyScalar::F64(high),
-                            qctx);
-}
-
-double Database::ProjectSumF64(const ColumnHandle& where_column,
-                               const ColumnHandle& project_column, double low,
-                               double high, const QueryContext& qctx) {
-  return ProjectSumScalar(where_column, project_column, KeyScalar::F64(low),
-                          KeyScalar::F64(high), qctx)
-      .AsF64();
-}
-
-RowId Database::InsertF64(const ColumnHandle& column, double value,
-                          const QueryContext& qctx) {
-  return InsertScalar(column, KeyScalar::F64(value), qctx);
-}
-
-bool Database::DeleteF64(const ColumnHandle& column, double value,
-                         const QueryContext& qctx) {
-  return DeleteScalar(column, KeyScalar::F64(value), qctx);
 }
 
 size_t Database::TotalIndexPieces() const {

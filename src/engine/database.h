@@ -22,9 +22,9 @@
 ///    (session.h; OpenSession()).
 ///
 /// Attributes are generic over the element type via the typed column
-/// runtime (int32_t, int64_t and double); the string-based int64 query API
-/// remains source-compatible and works against any indexable column type,
-/// and the *Scalar / *F64 entry points carry typed bounds end-to-end (a
+/// runtime (int32_t, int64_t and double). The query surface is one call,
+/// Execute(QuerySpec), plus Insert / Delete of one KeyScalar value: bounds
+/// and values travel as tagged int64-or-double scalars end to end (a
 /// double column's sums stay doubles all the way to the wire).
 
 #pragma once
@@ -99,161 +99,31 @@ class Database {
   /// Opens a per-client session (handle cache, private RNG, async path).
   Session OpenSession(SessionOptions options = {});
 
-  // --- Declarative query API (query_spec.h) ------------------------------
+  // --- Query and update API -----------------------------------------------
   //
-  // The one entry every read reduces to: a QuerySpec carries a conjunction
-  // of 1..N range predicates plus the requested results, and the executor
-  // plans the conjunction (most selective predicate first, estimated from
-  // cracker piece boundaries; sorted-positional merge or base-column
-  // probes for the rest — every touched predicate column cracks as a side
-  // effect in the adaptive modes). The per-primitive calls below are thin
-  // shims building one-predicate specs.
+  // Every read is a QuerySpec (query_spec.h): a conjunction of 1..N range
+  // predicates plus the requested results. The executor plans the
+  // conjunction (most selective predicate first, estimated from cracker
+  // piece boundaries; sorted-positional merge or base-column probes for the
+  // rest — every touched predicate column cracks as a side effect in the
+  // adaptive modes). Handles come from Resolve; no global mutex is taken
+  // and no string is hashed on this path.
 
   QueryResult Execute(const QuerySpec& spec, const QueryContext& qctx = {});
 
-  // --- Handle-based scalar query API (the typed core; no global mutex,
-  //     no string hashing). Bounds/values are tagged int64-or-double
-  //     KeyScalars, exactly what the wire protocol carries. ---------------
-
-  size_t CountRangeScalar(const ColumnHandle& column, KeyScalar low,
-                          KeyScalar high, const QueryContext& qctx = {});
-  /// Shared scan: counts[i] answers ranges[i] over ONE column, computed in
-  /// a single pass (cracking modes crack the union of the bounds once).
-  /// Bit-equal to per-range CountRangeScalar calls; the network server's
-  /// coalescer batches concurrent same-column count requests into this.
-  std::vector<uint64_t> CountRangeBatchScalar(
-      const ColumnHandle& column,
-      const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-      const QueryContext& qctx = {});
-  /// Result carrier follows the column type (double columns sum to f64).
-  KeyScalar SumRangeScalar(const ColumnHandle& column, KeyScalar low,
-                           KeyScalar high, const QueryContext& qctx = {});
-  PositionList SelectRowIdsScalar(const ColumnHandle& column, KeyScalar low,
-                                  KeyScalar high,
-                                  const QueryContext& qctx = {});
-  /// Result carrier follows the PROJECT column's type.
-  KeyScalar ProjectSumScalar(const ColumnHandle& where_column,
-                             const ColumnHandle& project_column,
-                             KeyScalar low, KeyScalar high,
-                             const QueryContext& qctx = {});
-  RowId InsertScalar(const ColumnHandle& column, KeyScalar value,
-                     const QueryContext& qctx = {});
-  bool DeleteScalar(const ColumnHandle& column, KeyScalar value,
-                    const QueryContext& qctx = {});
-
-  // --- Handle-based int64 query API (source-compatible; works against
-  //     every column type — int64 bounds clamp exactly into narrower or
-  //     double domains) --------------------------------------------------
-
-  /// select count(*) from ... where low <= column < high.
-  size_t CountRange(const ColumnHandle& column, int64_t low, int64_t high,
-                    const QueryContext& qctx = {});
-
-  /// select sum(column) ... : forces the engine to touch qualifying rows.
-  /// On a double column the f64 sum is rounded to nearest and saturated
-  /// (NaN maps to 0); use SumRangeF64/SumRangeScalar for the exact value.
-  int64_t SumRange(const ColumnHandle& column, int64_t low, int64_t high,
-                   const QueryContext& qctx = {});
-
-  /// Materializes qualifying rowids (tuple-reconstruction input).
-  PositionList SelectRowIds(const ColumnHandle& column, int64_t low,
-                            int64_t high, const QueryContext& qctx = {});
-
-  /// The paper's §3.1 query shape reduced to a checksum: select on
-  /// \p where_column, project \p project_column positionally, return its
-  /// sum. Exercises late tuple reconstruction.
-  int64_t ProjectSum(const ColumnHandle& where_column,
-                     const ColumnHandle& project_column, int64_t low,
-                     int64_t high, const QueryContext& qctx = {});
-
   /// Pending-queue insert (merged on demand; §5.7). Cracking modes only.
-  RowId Insert(const ColumnHandle& column, int64_t value,
+  /// The value is a tagged int64-or-double scalar: a double carrier
+  /// against an integer column must be integral and in domain, or
+  /// std::out_of_range is thrown.
+  RowId Insert(const ColumnHandle& column, KeyScalar value,
                const QueryContext& qctx = {});
 
   /// Pending-queue delete of one row holding \p value. Resolves the row via
   /// the closed unit select [value, value], so any representable value —
   /// including the element type's maximum — is deletable. \return true when
   /// a matching row was found.
-  bool Delete(const ColumnHandle& column, int64_t value,
+  bool Delete(const ColumnHandle& column, KeyScalar value,
               const QueryContext& qctx = {});
-
-  // --- Handle-based double query API (F64-suffixed so integer literals
-  //     keep resolving to the int64 overloads). An exclusive high equal to
-  //     the NaN key (the double order's maximum) degrades to the closed
-  //     bound, so CountRangeF64(h, NaN, NaN) counts exactly the NaN rows. --
-
-  size_t CountRangeF64(const ColumnHandle& column, double low, double high,
-                       const QueryContext& qctx = {});
-  double SumRangeF64(const ColumnHandle& column, double low, double high,
-                     const QueryContext& qctx = {});
-  PositionList SelectRowIdsF64(const ColumnHandle& column, double low,
-                               double high, const QueryContext& qctx = {});
-  double ProjectSumF64(const ColumnHandle& where_column,
-                       const ColumnHandle& project_column, double low,
-                       double high, const QueryContext& qctx = {});
-  RowId InsertF64(const ColumnHandle& column, double value,
-                  const QueryContext& qctx = {});
-  bool DeleteF64(const ColumnHandle& column, double value,
-                 const QueryContext& qctx = {});
-
-  // --- Name-based query API (source-compatible; resolves per call) -------
-
-  size_t CountRange(const std::string& table, const std::string& column,
-                    int64_t low, int64_t high) {
-    return CountRange(Resolve(table, column), low, high);
-  }
-  int64_t SumRange(const std::string& table, const std::string& column,
-                   int64_t low, int64_t high) {
-    return SumRange(Resolve(table, column), low, high);
-  }
-  PositionList SelectRowIds(const std::string& table,
-                            const std::string& column, int64_t low,
-                            int64_t high) {
-    return SelectRowIds(Resolve(table, column), low, high);
-  }
-  int64_t ProjectSum(const std::string& table,
-                     const std::string& where_column,
-                     const std::string& project_column, int64_t low,
-                     int64_t high) {
-    return ProjectSum(Resolve(table, where_column),
-                      Resolve(table, project_column), low, high);
-  }
-  RowId Insert(const std::string& table, const std::string& column,
-               int64_t value) {
-    return Insert(Resolve(table, column), value);
-  }
-  bool Delete(const std::string& table, const std::string& column,
-              int64_t value) {
-    return Delete(Resolve(table, column), value);
-  }
-  size_t CountRangeF64(const std::string& table, const std::string& column,
-                       double low, double high) {
-    return CountRangeF64(Resolve(table, column), low, high);
-  }
-  double SumRangeF64(const std::string& table, const std::string& column,
-                     double low, double high) {
-    return SumRangeF64(Resolve(table, column), low, high);
-  }
-  PositionList SelectRowIdsF64(const std::string& table,
-                               const std::string& column, double low,
-                               double high) {
-    return SelectRowIdsF64(Resolve(table, column), low, high);
-  }
-  double ProjectSumF64(const std::string& table,
-                       const std::string& where_column,
-                       const std::string& project_column, double low,
-                       double high) {
-    return ProjectSumF64(Resolve(table, where_column),
-                         Resolve(table, project_column), low, high);
-  }
-  RowId InsertF64(const std::string& table, const std::string& column,
-                  double value) {
-    return InsertF64(Resolve(table, column), value);
-  }
-  bool DeleteF64(const std::string& table, const std::string& column,
-                 double value) {
-    return DeleteF64(Resolve(table, column), value);
-  }
 
   // --- Mode-specific operations ------------------------------------------
 
@@ -271,7 +141,7 @@ class Database {
   // --- Durability (src/persist/ attaches here) ----------------------------
 
   /// Attaches (or with nullptr detaches) the durability hook. Every update
-  /// that enters through InsertScalar/DeleteScalar is logged through the
+  /// that enters through Insert/Delete is logged through the
   /// hook while the update barrier is held shared, so a checkpoint's state
   /// cut (ExportDurableState, unique barrier) can never interleave with a
   /// half-logged update.

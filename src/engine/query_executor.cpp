@@ -195,7 +195,7 @@ class ExecutorBase : public QueryExecutor {
   explicit ExecutorBase(const EngineContext& ctx) : ctx_(ctx) {}
 
   /// The declarative entry point: validate, then either dispatch the
-  /// legacy one-predicate/one-result shape onto the mode-native operator,
+  /// one-predicate/one-result shape onto the mode-native operator,
   /// or plan and execute the conjunction (see query_executor.h).
   QueryResult Execute(const QuerySpec& spec, const QueryContext& qctx) override {
     if (spec.predicates.empty()) {
@@ -236,7 +236,7 @@ class ExecutorBase : public QueryExecutor {
   QueryResult ExecuteValidated(const QuerySpec& spec,
                                const QueryContext& qctx) {
     if (spec.predicates.size() == 1 && spec.results.size() == 1) {
-      return ExecuteLegacyShape(spec, qctx);
+      return ExecuteSingle(spec, qctx);
     }
     PositionList rows;
     if (spec.predicates.size() == 1) {
@@ -256,11 +256,34 @@ class ExecutorBase : public QueryExecutor {
     return MaterializeResults(spec, std::move(rows));
   }
 
-  /// Default late reconstruction: materialize rowids via the mode's select,
-  /// then project positionally through the base column.
-  KeyScalar ProjectSum(const ColumnHandle& where_column,
-                       const ColumnHandle& project_column, KeyScalar low,
-                       KeyScalar high, const QueryContext& qctx) override {
+ protected:
+  // --- The mode-native operators over one range predicate -------------
+
+  /// select count(*) where low <= column < high (in the column type's
+  /// total order, after clamping the scalar bounds into its domain).
+  virtual size_t CountRange(const ColumnHandle& column, KeyScalar low,
+                            KeyScalar high, const QueryContext& qctx) = 0;
+
+  /// select sum(column) where low <= column < high. The result carrier
+  /// follows the column type: int64 for integer columns, double for double
+  /// columns (a sum over rows holding the NaN key is NaN).
+  virtual KeyScalar SumRange(const ColumnHandle& column, KeyScalar low,
+                             KeyScalar high, const QueryContext& qctx) = 0;
+
+  /// Materializes qualifying rowids, in the mode's native order.
+  virtual PositionList SelectRowIds(const ColumnHandle& column, KeyScalar low,
+                                    KeyScalar high,
+                                    const QueryContext& qctx) = 0;
+
+  /// select sum(project) where low <= where < high (late reconstruction).
+  /// Both handles must belong to the same table; the result carrier
+  /// follows the PROJECT column's type. The default materializes rowids
+  /// via the mode's select, then projects positionally through the base
+  /// column.
+  virtual KeyScalar ProjectSum(const ColumnHandle& where_column,
+                               const ColumnHandle& project_column,
+                               KeyScalar low, KeyScalar high,
+                               const QueryContext& qctx) {
     ColumnEntry& pe = Entry(project_column);
     CheckSameTable(Entry(where_column), pe);
     const PositionList rows = SelectRowIds(where_column, low, high, qctx);
@@ -282,7 +305,6 @@ class ExecutorBase : public QueryExecutor {
     });
   }
 
- protected:
   /// Validates the handle and returns its entry: null handles are caller
   /// bugs, dropped entries mean the table is gone (base data freed).
   ColumnEntry& Entry(const ColumnHandle& h) const {
@@ -561,9 +583,9 @@ class ExecutorBase : public QueryExecutor {
   virtual void RefineHint(ColumnEntry&, KeyScalar, KeyScalar,
                           const QueryContext&) {}
 
-  /// The one-predicate/one-result shape: exactly the legacy primitive.
-  QueryResult ExecuteLegacyShape(const QuerySpec& spec,
-                                 const QueryContext& qctx) {
+  /// The one-predicate/one-result shape, answered by the mode-native
+  /// operator: no materialize + sort, and rowids keep the mode's order.
+  QueryResult ExecuteSingle(const QuerySpec& spec, const QueryContext& qctx) {
     const RangePredicate& p = spec.predicates[0];
     const ResultSpec& r = spec.results[0];
     QueryResult out;
@@ -661,6 +683,7 @@ class ScanExecutor : public ExecutorBase {
  public:
   using ExecutorBase::ExecutorBase;
 
+ protected:
   size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
                     const QueryContext&) override {
     ColumnEntry& e = Entry(h);
@@ -690,39 +713,6 @@ class ScanExecutor : public ExecutorBase {
       return b.empty ? PositionList{} : ScanSelect<T>(e, b);
     });
   }
-
-  /// The literal shared scan: one sequential read of the base column
-  /// evaluates every request's bounds, so N concurrent counts cost one
-  /// pass of memory bandwidth instead of N.
-  std::vector<uint64_t> CountRangeBatch(
-      const ColumnHandle& h,
-      const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-      const QueryContext&) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(
-        e.type(), [&](auto tag) -> std::vector<uint64_t> {
-          using T = typename decltype(tag)::type;
-          std::vector<Bounds<T>> bs;
-          bs.reserve(ranges.size());
-          for (const auto& [lo, hi] : ranges) bs.push_back(ClampBounds<T>(lo, hi));
-          const Column<T>& base = *e.runtime<T>().base;
-          const T* data = base.data();
-          std::vector<uint64_t> counts(ranges.size(), 0);
-          for (size_t i = 0; i < base.size(); ++i) {
-            const T v = data[i];
-            for (size_t k = 0; k < bs.size(); ++k) {
-              const Bounds<T>& b = bs[k];
-              if (b.empty) continue;
-              const bool hit =
-                  !KeyTraits<T>::Less(v, b.lo) &&
-                  (b.closed_high ? !KeyTraits<T>::Less(b.hi, v)
-                                 : KeyTraits<T>::Less(v, b.hi));
-              if (hit) ++counts[k];
-            }
-          }
-          return counts;
-        });
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -738,6 +728,7 @@ class OfflineExecutor : public ExecutorBase {
     SortAllColumns();
   }
 
+ protected:
   size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
                     const QueryContext&) override {
     EnsurePrepared();
@@ -789,6 +780,7 @@ class OnlineExecutor : public ExecutorBase {
  public:
   using ExecutorBase::ExecutorBase;
 
+ protected:
   size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
                     const QueryContext&) override {
     ColumnEntry& e = Entry(h);
@@ -845,162 +837,6 @@ class CrackingExecutor : public ExecutorBase {
  public:
   using ExecutorBase::ExecutorBase;
 
-  size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                    const QueryContext& qctx) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> size_t {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return 0;
-      return Select<T>(e, b, qctx, nullptr).size();
-    });
-  }
-
-  KeyScalar SumRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                     const QueryContext& qctx) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> KeyScalar {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return WrapSum<T>(0);
-      std::shared_ptr<CrackerColumn<T>> cracker;
-      const PositionRange r = Select<T>(e, b, qctx, &cracker);
-      return WrapSum<T>(cracker->SumRange(r));
-    });
-  }
-
-  PositionList SelectRowIds(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                            const QueryContext& qctx) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> PositionList {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return {};
-      std::shared_ptr<CrackerColumn<T>> cracker;
-      const PositionRange r = Select<T>(e, b, qctx, &cracker);
-      return cracker->FetchRowIds(r);
-    });
-  }
-
-  /// Cracked late reconstruction: the project operator reads rowids
-  /// straight out of the cracker column under piece read latches, without
-  /// materializing a position list.
-  KeyScalar ProjectSum(const ColumnHandle& where_column,
-                       const ColumnHandle& project_column, KeyScalar low,
-                       KeyScalar high, const QueryContext& qctx) override {
-    ColumnEntry& we = Entry(where_column);
-    ColumnEntry& pe = Entry(project_column);
-    CheckSameTable(we, pe);
-    return DispatchIndexableType(we.type(), [&](auto wtag) -> KeyScalar {
-      using W = typename decltype(wtag)::type;
-      const Bounds<W> b = ClampBounds<W>(low, high);
-      return DispatchIndexableType(pe.type(), [&](auto ptag) -> KeyScalar {
-        using P = typename decltype(ptag)::type;
-        if (b.empty) return WrapSum<P>(0);
-        std::shared_ptr<CrackerColumn<W>> cracker;
-        const PositionRange r = Select<W>(we, b, qctx, &cracker);
-        const Column<P>& proj = *pe.runtime<P>().base;
-        const size_t n = proj.size();
-        typename KeyTraits<P>::Sum sum = 0;
-        cracker->ScanRange(r, [&](W, RowId rid) {
-          P v{};
-          if (rid < n) {
-            v = proj[rid];
-          } else if (!AppendedValueFor<P>(pe, rid, &v)) {
-            return;  // appended on the WHERE column only; no value here
-          }
-          sum += static_cast<typename KeyTraits<P>::Sum>(v);
-        });
-        return WrapSum<P>(sum);
-      });
-    });
-  }
-
-  /// Shared scan over an adaptive index: crack the UNION of the requested
-  /// bounds once (one piece-boundary refinement, one pending merge), then
-  /// carve every request's count out of a single scan of the resulting
-  /// position range. Bit-equal to per-request CountRange calls — counting
-  /// is by value, and merging pending rows for the union is merging a
-  /// superset of what each request would have merged.
-  std::vector<uint64_t> CountRangeBatch(
-      const ColumnHandle& h,
-      const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-      const QueryContext& qctx) override {
-    if (ranges.size() < 2) {
-      return QueryExecutor::CountRangeBatch(h, ranges, qctx);
-    }
-    static obs::Counter& batch_ranges =
-        obs::MetricsRegistry::Global().GetCounter("holix_batch_ranges_total");
-    batch_ranges.Inc(ranges.size());
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(
-        e.type(), [&](auto tag) -> std::vector<uint64_t> {
-          using T = typename decltype(tag)::type;
-          std::vector<Bounds<T>> bs;
-          bs.reserve(ranges.size());
-          Bounds<T> u{};
-          bool any = false;
-          for (const auto& [lo, hi] : ranges) {
-            const Bounds<T> b = ClampBounds<T>(lo, hi);
-            if (!b.empty) {
-              if (!any) {
-                u = b;
-                any = true;
-              } else {
-                if (KeyTraits<T>::Less(b.lo, u.lo)) u.lo = b.lo;
-                // The wider high is the larger value; at a tie the closed
-                // bound covers the open one.
-                if (KeyTraits<T>::Less(u.hi, b.hi) ||
-                    (!KeyTraits<T>::Less(b.hi, u.hi) && b.closed_high)) {
-                  u.hi = b.hi;
-                  u.closed_high = u.closed_high || b.closed_high;
-                }
-              }
-            }
-            bs.push_back(b);
-          }
-          if (!any) return std::vector<uint64_t>(ranges.size(), 0);
-          // Adaptive admission: the union spans every requested range PLUS
-          // the gaps between them. On a converged column the per-range
-          // indexed probes are cheaper than one wide union scan — estimate
-          // both from the current piece boundaries and fall back to the
-          // per-range path (bit-equal by construction) when coalescing
-          // would lose. An uncracked column always coalesces: estimates
-          // are column-sized either way and the union cracks only once.
-          if (auto est =
-                  e.runtime<T>().cracker.load(std::memory_order_acquire)) {
-            size_t per_range = 0;
-            for (const Bounds<T>& b : bs) {
-              if (!b.empty) {
-                per_range += est->EstimateRange(b.lo, b.hi, b.closed_high);
-              }
-            }
-            if (per_range < est->EstimateRange(u.lo, u.hi, u.closed_high)) {
-              static obs::Counter& skips =
-                  obs::MetricsRegistry::Global().GetCounter(
-                      "holix_batch_admission_skips_total");
-              skips.Inc();
-              return QueryExecutor::CountRangeBatch(h, ranges, qctx);
-            }
-          }
-          std::shared_ptr<CrackerColumn<T>> cracker;
-          const PositionRange r = Select<T>(e, u, qctx, &cracker);
-          std::vector<uint64_t> counts(ranges.size(), 0);
-          cracker->ScanRange(r, [&](T v, RowId) {
-            for (size_t k = 0; k < bs.size(); ++k) {
-              const Bounds<T>& b = bs[k];
-              if (b.empty) continue;
-              const bool hit =
-                  !KeyTraits<T>::Less(v, b.lo) &&
-                  (b.closed_high ? !KeyTraits<T>::Less(b.hi, v)
-                                 : KeyTraits<T>::Less(v, b.hi));
-              if (hit) ++counts[k];
-            }
-          });
-          return counts;
-        });
-  }
-
   RowId Insert(const ColumnHandle& h, KeyScalar value,
                const QueryContext& qctx) override {
     ColumnEntry& e = Entry(h);
@@ -1035,16 +871,18 @@ class CrackingExecutor : public ExecutorBase {
       // shift positions between the select and the read, so verify and
       // retry.
       for (int attempt = 0; attempt < 8; ++attempt) {
-        const PositionRange r = cracker->SelectRangeClosed(v, v, cfg);
+        uint64_t layout = 0;
+        const PositionRange r = cracker->SelectRangeClosed(v, v, cfg, &layout);
         if (r.empty()) return false;
         bool found = false;
         RowId rid = 0;
-        cracker->ScanRange({r.begin, r.begin + 1}, [&](T val, RowId rr) {
-          if (KeyTraits<T>::Eq(val, v)) {
-            rid = rr;
-            found = true;
-          }
-        });
+        cracker->ScanRangeAt({r.begin, r.begin + 1}, layout,
+                             [&](T val, RowId rr) {
+                               if (KeyTraits<T>::Eq(val, v)) {
+                                 rid = rr;
+                                 found = true;
+                               }
+                             });
         if (found) {
           cracker->pending().AddDelete(v, rid);
           if (deleted_rid != nullptr) *deleted_rid = rid;
@@ -1056,6 +894,80 @@ class CrackingExecutor : public ExecutorBase {
   }
 
  protected:
+  size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
+                    const QueryContext& qctx) override {
+    ColumnEntry& e = Entry(h);
+    return DispatchIndexableType(e.type(), [&](auto tag) -> size_t {
+      using T = typename decltype(tag)::type;
+      const Bounds<T> b = ClampBounds<T>(lo, hi);
+      if (b.empty) return 0;
+      return Select<T>(e, b, qctx, nullptr).size();
+    });
+  }
+
+  KeyScalar SumRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
+                     const QueryContext& qctx) override {
+    ColumnEntry& e = Entry(h);
+    return DispatchIndexableType(e.type(), [&](auto tag) -> KeyScalar {
+      using T = typename decltype(tag)::type;
+      const Bounds<T> b = ClampBounds<T>(lo, hi);
+      typename KeyTraits<T>::Sum sum = 0;
+      if (!b.empty) {
+        SelectScan<T>(e, b, qctx, [&](T v, RowId) {
+          sum += static_cast<typename KeyTraits<T>::Sum>(v);
+        });
+      }
+      return WrapSum<T>(sum);
+    });
+  }
+
+  PositionList SelectRowIds(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
+                            const QueryContext& qctx) override {
+    ColumnEntry& e = Entry(h);
+    return DispatchIndexableType(e.type(), [&](auto tag) -> PositionList {
+      using T = typename decltype(tag)::type;
+      const Bounds<T> b = ClampBounds<T>(lo, hi);
+      PositionList out;
+      if (!b.empty) {
+        SelectScan<T>(e, b, qctx, [&](T, RowId rid) { out.push_back(rid); },
+                      &out);
+      }
+      return out;
+    });
+  }
+
+  /// Cracked late reconstruction: the project operator reads rowids
+  /// straight out of the cracker column under piece read latches, without
+  /// materializing a position list.
+  KeyScalar ProjectSum(const ColumnHandle& where_column,
+                       const ColumnHandle& project_column, KeyScalar low,
+                       KeyScalar high, const QueryContext& qctx) override {
+    ColumnEntry& we = Entry(where_column);
+    ColumnEntry& pe = Entry(project_column);
+    CheckSameTable(we, pe);
+    return DispatchIndexableType(we.type(), [&](auto wtag) -> KeyScalar {
+      using W = typename decltype(wtag)::type;
+      const Bounds<W> b = ClampBounds<W>(low, high);
+      return DispatchIndexableType(pe.type(), [&](auto ptag) -> KeyScalar {
+        using P = typename decltype(ptag)::type;
+        if (b.empty) return WrapSum<P>(0);
+        const Column<P>& proj = *pe.runtime<P>().base;
+        const size_t n = proj.size();
+        typename KeyTraits<P>::Sum sum = 0;
+        SelectScan<W>(we, b, qctx, [&](W, RowId rid) {
+          P v{};
+          if (rid < n) {
+            v = proj[rid];
+          } else if (!AppendedValueFor<P>(pe, rid, &v)) {
+            return;  // appended on the WHERE column only; no value here
+          }
+          sum += static_cast<typename KeyTraits<P>::Sum>(v);
+        });
+        return WrapSum<P>(sum);
+      });
+    });
+  }
+
   /// A probed conjunct still refines its attribute's adaptive index: crack
   /// at the query bounds (Select without materialization), so repeated
   /// multi-predicate queries converge on every predicate column — and the
@@ -1105,15 +1017,34 @@ class CrackingExecutor : public ExecutorBase {
   template <typename T>
   PositionRange Select(ColumnEntry& e, const Bounds<T>& b,
                        const QueryContext& qctx,
-                       std::shared_ptr<CrackerColumn<T>>* out) {
+                       std::shared_ptr<CrackerColumn<T>>* out,
+                       uint64_t* layout = nullptr) {
     auto cracker = EnsureCracker<T>(e, qctx);
     const CrackConfig cfg = QueryCrackConfig(qctx);
-    const PositionRange r = b.closed_high
-                                ? cracker->SelectRangeClosed(b.lo, b.hi, cfg)
-                                : cracker->SelectRange(b.lo, b.hi, cfg);
+    const PositionRange r =
+        b.closed_high ? cracker->SelectRangeClosed(b.lo, b.hi, cfg, layout)
+                      : cracker->SelectRange(b.lo, b.hi, cfg, layout);
     AfterSelect(e);
     if (out != nullptr) *out = std::move(cracker);
     return r;
+  }
+
+  /// Selects \p b and feeds every qualifying row to fn(value, rowid); \p
+  /// rowids, when given, is reserved for the selected row count first. A
+  /// concurrent Ripple merge (another client's update, a holistic worker)
+  /// may shift the selected positions before the scan; the scan then
+  /// visits nothing and the select is repeated.
+  template <typename T, typename Fn>
+  void SelectScan(ColumnEntry& e, const Bounds<T>& b,
+                  const QueryContext& qctx, Fn&& fn,
+                  PositionList* rowids = nullptr) {
+    std::shared_ptr<CrackerColumn<T>> cracker;
+    for (;;) {
+      uint64_t layout = 0;
+      const PositionRange r = Select<T>(e, b, qctx, &cracker, &layout);
+      if (rowids != nullptr) rowids->reserve(r.size());
+      if (cracker->ScanRangeAt(r, layout, fn)) return;
+    }
   }
 };
 
@@ -1266,21 +1197,6 @@ class HolisticExecutor : public CrackingExecutor {
 };
 
 }  // namespace
-
-std::vector<uint64_t> QueryExecutor::CountRangeBatch(
-    const ColumnHandle& column,
-    const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-    const QueryContext& qctx) {
-  static obs::Counter& batch_ranges =
-      obs::MetricsRegistry::Global().GetCounter("holix_batch_ranges_total");
-  batch_ranges.Inc(ranges.size());
-  std::vector<uint64_t> counts;
-  counts.reserve(ranges.size());
-  for (const auto& [lo, hi] : ranges) {
-    counts.push_back(static_cast<uint64_t>(CountRange(column, lo, hi, qctx)));
-  }
-  return counts;
-}
 
 RowId QueryExecutor::Insert(const ColumnHandle&, KeyScalar,
                             const QueryContext&) {

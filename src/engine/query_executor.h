@@ -1,13 +1,15 @@
 /// \file query_executor.h
 /// \brief Per-mode query execution strategies over resolved column handles.
 ///
-/// Each ExecMode is one strategy object implementing the four §3.1 operator
-/// shapes (CountRange / SumRange / SelectRowIds / ProjectSum) plus the
-/// update entry points, all over a ColumnHandle — the facade resolves names
-/// once and the executors never hash a string or take a global mutex on the
-/// query hot path. Executors are type-generic: they dispatch on the
-/// handle's element type and run the typed cracker / sorted-index / scan
-/// machinery (int32_t, int64_t and double).
+/// Each ExecMode is one strategy object with one read entry point,
+/// Execute(QuerySpec), plus the update entry points, all over ColumnHandles
+/// — the facade resolves names once and the executors never hash a string
+/// or take a global mutex on the query hot path. Internally each strategy
+/// implements the four §3.1 operator shapes (count, sum, rowids, projected
+/// sum over one range predicate) that Execute dispatches onto. Executors
+/// are type-generic: they dispatch on the handle's element type and run
+/// the typed cracker / sorted-index / scan machinery (int32_t, int64_t and
+/// double).
 ///
 /// Bounds and values cross this interface as KeyScalar (a tagged
 /// int64-or-double), the same shape the wire protocol carries: the typed
@@ -23,8 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "engine/column_registry.h"
 #include "engine/engine_options.h"
@@ -62,11 +62,11 @@ class QueryExecutor {
   /// Executes a declarative QuerySpec (see query_spec.h for semantics).
   ///
   /// One predicate + one result dispatches straight onto the mode-native
-  /// operator below (the legacy primitives are shims over this). A
-  /// conjunction is *planned*: predicates are ordered by estimated
-  /// selectivity — cracker piece boundaries when an adaptive index exists,
-  /// sorted-index counts when one is built, [min, max] rank interpolation
-  /// otherwise — the most selective predicate drives the mode's select,
+  /// operator (count, sum, rowids or projected sum). A conjunction is
+  /// *planned*: predicates are ordered by estimated selectivity — cracker
+  /// piece boundaries when an adaptive index exists, sorted-index counts
+  /// when one is built, [min, max] rank interpolation otherwise — the
+  /// most selective predicate drives the mode's select,
   /// and each remaining conjunct is applied either by sorted-positional
   /// merge against its own (index-refining) select or, when its estimated
   /// selectivity is high, by direct value probes of the base column; in
@@ -79,42 +79,6 @@ class QueryExecutor {
   /// several tables.
   virtual QueryResult Execute(const QuerySpec& spec,
                               const QueryContext& qctx) = 0;
-
-  /// select count(*) where low <= column < high (in the column type's
-  /// total order, after clamping the scalar bounds into its domain).
-  virtual size_t CountRange(const ColumnHandle& column, KeyScalar low,
-                            KeyScalar high, const QueryContext& qctx) = 0;
-
-  /// Shared scan: answers many [low, high) count queries over ONE column in
-  /// a single pass. counts[i] answers ranges[i], bit-equal to calling
-  /// CountRange per range. The base implementation loops; the scan strategy
-  /// evaluates every range during one sequential read, and the cracking
-  /// strategies crack the *union* of the bounds once and carve the
-  /// per-request counts out of that one piece-range scan — the event-loop
-  /// server's coalescer batches concurrent same-column requests into this.
-  virtual std::vector<uint64_t> CountRangeBatch(
-      const ColumnHandle& column,
-      const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-      const QueryContext& qctx);
-
-  /// select sum(column) where low <= column < high. The result carrier
-  /// follows the column type: int64 for integer columns, double for double
-  /// columns (a sum over rows holding the NaN key is NaN).
-  virtual KeyScalar SumRange(const ColumnHandle& column, KeyScalar low,
-                             KeyScalar high, const QueryContext& qctx) = 0;
-
-  /// Materializes qualifying rowids.
-  virtual PositionList SelectRowIds(const ColumnHandle& column, KeyScalar low,
-                                    KeyScalar high,
-                                    const QueryContext& qctx) = 0;
-
-  /// select sum(project) where low <= where < high (late reconstruction).
-  /// Both handles must belong to the same table; the result carrier
-  /// follows the PROJECT column's type.
-  virtual KeyScalar ProjectSum(const ColumnHandle& where_column,
-                               const ColumnHandle& project_column,
-                               KeyScalar low, KeyScalar high,
-                               const QueryContext& qctx) = 0;
 
   /// Pending-queue insert; cracking modes only (throws otherwise). A
   /// double-carrier value against an integer column must be integral and

@@ -1,24 +1,24 @@
 /// \file query_spec.h
-/// \brief QuerySpec: the declarative query description every read-side
-/// entry point of the engine reduces to.
+/// \brief QuerySpec: the declarative query description every read of the
+/// engine is — in process (Database/Session::Execute) and on the wire
+/// (protocol ExecuteQuery).
 ///
 /// A QuerySpec names one target table, a *conjunction* of 1..N range
 /// predicates — each `(ColumnHandle, KeyScalar low, KeyScalar high)` with
 /// the engine's usual half-open `[low, high)` semantics and closed-bound
 /// degradation at the total-order top — and one or more result requests
-/// (count, per-column sums, materialized rowids). The former per-primitive
-/// facade calls (`CountRange*`, `SumRange*`, `SelectRowIds*`,
-/// `ProjectSum*` in all their int64/F64/Scalar clothes) are thin shims
-/// building one-predicate specs; multi-predicate specs open the paper's
-/// own TPC-H Q6 shape — conjunctive ranges over `l_shipdate`,
-/// `l_discount`, `l_quantity` — on the adaptive-indexing hot path, where
-/// every predicate cracks its own index as a side effect (holistic
-/// refinement keeps working per attribute, exactly as in the paper).
+/// (count, per-column sums, materialized rowids). A one-predicate spec is
+/// the paper's §3.1 select → project → aggregate shape; multi-predicate
+/// specs open the paper's own TPC-H Q6 shape — conjunctive ranges over
+/// `l_shipdate`, `l_discount`, `l_quantity` — on the adaptive-indexing hot
+/// path, where every predicate cracks its own index as a side effect
+/// (holistic refinement keeps working per attribute, exactly as in the
+/// paper).
 ///
 /// Result semantics (pinned by query_spec_test):
 ///  * With one predicate and one result the spec executes on the mode's
-///    native operator — bit-for-bit the legacy primitive, including the
-///    cracked SumRange fast path and the mode's native rowid order.
+///    native operator, including the cracked in-place sum and the mode's
+///    native rowid order.
 ///  * Every other shape (N >= 2 predicates, or several results) first
 ///    materializes the qualifying row set, sorted ascending by rowid, and
 ///    computes each aggregate positionally through the base column in that
@@ -31,9 +31,8 @@
 ///    the base row count. A row qualifies iff EVERY predicate column holds
 ///    a qualifying value for it, so a conjunction naturally excludes rows
 ///    inserted into only one of its predicate columns, while a
-///    single-predicate spec (any result shape) sees them exactly like the
-///    legacy primitives do. Count, rowids and sums always agree about
-///    which rows qualify.
+///    single-predicate spec (any result shape) sees them. Count, rowids
+///    and sums always agree about which rows qualify.
 
 #pragma once
 
@@ -109,22 +108,14 @@ struct QuerySpec {
     return *this;
   }
 
-  /// The one-predicate spec the legacy facade primitives reduce to.
-  static QuerySpec Single(ColumnHandle column, KeyScalar low, KeyScalar high,
-                          ResultSpec result) {
-    QuerySpec spec;
-    spec.predicates.push_back({std::move(column), low, high});
-    spec.results.push_back(std::move(result));
-    return spec;
-  }
 };
 
 /// The answer to one QuerySpec. `values[i]` answers `spec.results[i]`:
 /// kCount and kRowIds carry the qualifying-row count as an i64 scalar;
 /// kSum/kProjectSum carry the sum in the summed column's carrier type
 /// (double columns sum to f64). `rowids` is filled when any kRowIds was
-/// requested (sorted ascending except on the one-predicate/one-result
-/// legacy path, which keeps the mode's native order).
+/// requested (sorted ascending except for a one-predicate/one-result
+/// spec, which keeps the mode's native order).
 struct QueryResult {
   std::vector<KeyScalar> values;
   PositionList rowids;

@@ -21,108 +21,12 @@ QueryResult Session::Execute(const QuerySpec& spec) {
   return db_->Execute(spec, QueryContext{&rng_});
 }
 
-size_t Session::CountRange(const ColumnHandle& column, int64_t low,
-                           int64_t high) {
-  return db_->CountRange(column, low, high, QueryContext{&rng_});
-}
-
-int64_t Session::SumRange(const ColumnHandle& column, int64_t low,
-                          int64_t high) {
-  return db_->SumRange(column, low, high, QueryContext{&rng_});
-}
-
-PositionList Session::SelectRowIds(const ColumnHandle& column, int64_t low,
-                                   int64_t high) {
-  return db_->SelectRowIds(column, low, high, QueryContext{&rng_});
-}
-
-int64_t Session::ProjectSum(const ColumnHandle& where_column,
-                            const ColumnHandle& project_column, int64_t low,
-                            int64_t high) {
-  return db_->ProjectSum(where_column, project_column, low, high,
-                         QueryContext{&rng_});
-}
-
-RowId Session::Insert(const ColumnHandle& column, int64_t value) {
+RowId Session::Insert(const ColumnHandle& column, KeyScalar value) {
   return db_->Insert(column, value, QueryContext{&rng_});
 }
 
-bool Session::Delete(const ColumnHandle& column, int64_t value) {
+bool Session::Delete(const ColumnHandle& column, KeyScalar value) {
   return db_->Delete(column, value, QueryContext{&rng_});
-}
-
-size_t Session::CountRangeScalar(const ColumnHandle& column, KeyScalar low,
-                                 KeyScalar high) {
-  return db_->CountRangeScalar(column, low, high, QueryContext{&rng_});
-}
-
-KeyScalar Session::SumRangeScalar(const ColumnHandle& column, KeyScalar low,
-                                  KeyScalar high) {
-  return db_->SumRangeScalar(column, low, high, QueryContext{&rng_});
-}
-
-PositionList Session::SelectRowIdsScalar(const ColumnHandle& column,
-                                         KeyScalar low, KeyScalar high) {
-  return db_->SelectRowIdsScalar(column, low, high, QueryContext{&rng_});
-}
-
-KeyScalar Session::ProjectSumScalar(const ColumnHandle& where_column,
-                                    const ColumnHandle& project_column,
-                                    KeyScalar low, KeyScalar high) {
-  return db_->ProjectSumScalar(where_column, project_column, low, high,
-                               QueryContext{&rng_});
-}
-
-RowId Session::InsertScalar(const ColumnHandle& column, KeyScalar value) {
-  return db_->InsertScalar(column, value, QueryContext{&rng_});
-}
-
-bool Session::DeleteScalar(const ColumnHandle& column, KeyScalar value) {
-  return db_->DeleteScalar(column, value, QueryContext{&rng_});
-}
-
-size_t Session::CountRangeF64(const ColumnHandle& column, double low,
-                              double high) {
-  return db_->CountRangeF64(column, low, high, QueryContext{&rng_});
-}
-
-double Session::SumRangeF64(const ColumnHandle& column, double low,
-                            double high) {
-  return db_->SumRangeF64(column, low, high, QueryContext{&rng_});
-}
-
-PositionList Session::SelectRowIdsF64(const ColumnHandle& column, double low,
-                                      double high) {
-  return db_->SelectRowIdsF64(column, low, high, QueryContext{&rng_});
-}
-
-double Session::ProjectSumF64(const ColumnHandle& where_column,
-                              const ColumnHandle& project_column, double low,
-                              double high) {
-  return db_->ProjectSumF64(where_column, project_column, low, high,
-                            QueryContext{&rng_});
-}
-
-RowId Session::InsertF64(const ColumnHandle& column, double value) {
-  return db_->InsertF64(column, value, QueryContext{&rng_});
-}
-
-bool Session::DeleteF64(const ColumnHandle& column, double value) {
-  return db_->DeleteF64(column, value, QueryContext{&rng_});
-}
-
-std::future<size_t> Session::SubmitCountRange(ColumnHandle column,
-                                              int64_t low, int64_t high) {
-  Database* db = db_;
-  auto task = std::make_shared<std::packaged_task<size_t()>>(
-      // Thread-local pivot RNG on the pool thread: the session RNG is not
-      // shared across threads.
-      [db, column = std::move(column), low, high] {
-        return db->CountRange(column, low, high, QueryContext{});
-      });
-  std::future<size_t> fut = task->get_future();
-  db_->client_pool().Submit([task] { (*task)(); });
-  return fut;
 }
 
 std::future<QueryResult> Session::SubmitExecute(QuerySpec spec) {
@@ -136,18 +40,6 @@ std::future<QueryResult> Session::SubmitExecute(QuerySpec spec) {
 
 void Session::SubmitRaw(std::function<void()> work) {
   db_->client_pool().Submit(std::move(work));
-}
-
-std::future<int64_t> Session::SubmitSumRange(ColumnHandle column, int64_t low,
-                                             int64_t high) {
-  Database* db = db_;
-  auto task = std::make_shared<std::packaged_task<int64_t()>>(
-      [db, column = std::move(column), low, high] {
-        return db->SumRange(column, low, high, QueryContext{});
-      });
-  std::future<int64_t> fut = task->get_future();
-  db_->client_pool().Submit([task] { (*task)(); });
-  return fut;
 }
 
 }  // namespace holix

@@ -40,9 +40,25 @@ void LoadUniformDoubleTable(Database& db, const std::string& table,
   }
 }
 
-RunResult RunWorkloadF64(Database& db, const std::string& table,
-                         const std::vector<std::string>& columns,
-                         const std::vector<RangeQuery>& queries) {
+namespace {
+
+/// select count(*) where low <= column < high, through \p session.
+size_t CountOf(Session& session, const ColumnHandle& column, KeyScalar low,
+               KeyScalar high) {
+  return static_cast<size_t>(
+      session.Execute(QuerySpec().Where(column, low, high).Count())
+          .values[0]
+          .i);
+}
+
+/// One client: resolve every attribute once, then time each query on the
+/// handle-based hot path (no name hashing inside the timed region).
+/// \p bounds maps a workload query to the scalar bounds it runs with.
+template <typename BoundsFn>
+RunResult RunSequential(Database& db, const std::string& table,
+                        const std::vector<std::string>& columns,
+                        const std::vector<RangeQuery>& queries,
+                        BoundsFn bounds) {
   Session session = db.OpenSession();
   std::vector<ColumnHandle> handles;
   handles.reserve(columns.size());
@@ -52,36 +68,32 @@ RunResult RunWorkloadF64(Database& db, const std::string& table,
   RunResult result;
   result.result_checksum = 0;
   for (const RangeQuery& q : queries) {
-    const double lo = static_cast<double>(q.low) + 0.5;
-    const double hi = static_cast<double>(q.high) + 0.5;
+    const auto [lo, hi] = bounds(q);
     Timer t;
-    const size_t count = session.CountRangeF64(handles[q.attr], lo, hi);
+    const size_t count = CountOf(session, handles[q.attr], lo, hi);
     result.series.Add(t.ElapsedSeconds());
     result.result_checksum += count;
   }
   return result;
 }
 
+}  // namespace
+
+RunResult RunWorkloadF64(Database& db, const std::string& table,
+                         const std::vector<std::string>& columns,
+                         const std::vector<RangeQuery>& queries) {
+  return RunSequential(db, table, columns, queries, [](const RangeQuery& q) {
+    return std::pair<KeyScalar, KeyScalar>(static_cast<double>(q.low) + 0.5,
+                                           static_cast<double>(q.high) + 0.5);
+  });
+}
+
 RunResult RunWorkload(Database& db, const std::string& table,
                       const std::vector<std::string>& columns,
                       const std::vector<RangeQuery>& queries) {
-  // One client: resolve every attribute once, then measure the handle-based
-  // hot path (no name hashing inside the timed region).
-  Session session = db.OpenSession();
-  std::vector<ColumnHandle> handles;
-  handles.reserve(columns.size());
-  for (const auto& column : columns) {
-    handles.push_back(session.Handle(table, column));
-  }
-  RunResult result;
-  result.result_checksum = 0;
-  for (const RangeQuery& q : queries) {
-    Timer t;
-    const size_t count = session.CountRange(handles[q.attr], q.low, q.high);
-    result.series.Add(t.ElapsedSeconds());
-    result.result_checksum += count;
-  }
-  return result;
+  return RunSequential(db, table, columns, queries, [](const RangeQuery& q) {
+    return std::pair<KeyScalar, KeyScalar>(q.low, q.high);
+  });
 }
 
 ConcurrentRunResult RunWorkloadConcurrentChecked(
@@ -119,7 +131,7 @@ ConcurrentRunResult RunWorkloadConcurrentChecked(
             const size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= queries.size()) break;
             const RangeQuery& q = queries[i];
-            local += session.CountRange(hs[q.attr], q.low, q.high);
+            local += CountOf(session, hs[q.attr], q.low, q.high);
           }
           checksum.fetch_add(local, std::memory_order_relaxed);
         });

@@ -4,7 +4,8 @@
 ///
 /// Thread model mirrors Session: one client object belongs to one thread.
 /// The synchronous calls are send-then-await; the pipelined calls
-/// (Send* / Await*) let a client keep several requests on the wire —
+/// (SendExecuteQuery / AwaitExecuteQuery) let a client keep several
+/// requests on the wire —
 /// responses may complete out of order on the server and are matched back
 /// by request id, with unmatched frames stashed until their Await.
 
@@ -34,11 +35,11 @@ class ConnectionLost : public std::runtime_error {
 /// Connection behavior of a HolixClient, set at Connect().
 struct ClientOptions {
   /// Re-dial the original host:port when the transport drops. Synchronous
-  /// *read* calls (counts, sums, rowids, ExecuteQuery, GetStats) are
-  /// retried after a successful reconnect — they are idempotent, so a
-  /// resend cannot double-apply. Insert/Delete are never resent once their
-  /// request bytes may have reached the server (the ack is ambiguous); a
-  /// drop mid-update surfaces as ConnectionLost for the caller to resolve.
+  /// *read* calls (ExecuteQuery, GetStats) are retried after a successful
+  /// reconnect — they are idempotent, so a resend cannot double-apply.
+  /// Insert/Delete are never resent once their request bytes may have
+  /// reached the server (the ack is ambiguous); a drop mid-update surfaces
+  /// as ConnectionLost for the caller to resolve.
   /// Session ids handed out by OpenSession() stay valid across reconnects:
   /// they are client-side handles, re-bound to fresh server sessions on
   /// each re-dial.
@@ -90,90 +91,31 @@ class HolixClient {
   /// trip. Needs no session: the server answers inline on its event loop.
   obs::MetricsSnapshot GetStats();
 
-  // --- Declarative query API (protocol v3) --------------------------------
+  // --- Queries and updates -------------------------------------------------
 
-  /// Executes a multi-predicate query in one round trip: a conjunction of
-  /// typed range predicates over \p table plus one or more result
-  /// requests (QueryResultSpecWire kinds: 0 count, 1 sum, 2 rowids,
-  /// 3 project-sum). The single-primitive calls below remain as
-  /// conveniences over the deprecated-but-served v2 frames.
+  /// Executes a query in one round trip: a conjunction of typed range
+  /// predicates over \p table plus one or more result requests
+  /// (QueryResultSpecWire kinds: 0 count, 1 sum, 2 rowids, 3 project-sum).
+  /// Sums come back in the carrier matching the summed column's type.
   ExecuteQueryResult ExecuteQuery(
       uint64_t session_id, const std::string& table,
       const std::vector<QueryPredicateWire>& predicates,
       const std::vector<QueryResultSpecWire>& results);
 
-  // --- Synchronous query API --------------------------------------------
-
-  /// Typed-scalar core: bounds/values travel as tagged scalars, and sum
-  /// results come back in the carrier matching the column's type.
-  uint64_t CountRangeScalar(uint64_t session_id, const std::string& table,
-                            const std::string& column, KeyScalar low,
-                            KeyScalar high);
-  KeyScalar SumRangeScalar(uint64_t session_id, const std::string& table,
-                           const std::string& column, KeyScalar low,
-                           KeyScalar high);
-  KeyScalar ProjectSumScalar(uint64_t session_id, const std::string& table,
-                             const std::string& where_column,
-                             const std::string& project_column, KeyScalar low,
-                             KeyScalar high);
-  std::vector<uint64_t> SelectRowIdsScalar(uint64_t session_id,
-                                           const std::string& table,
-                                           const std::string& column,
-                                           KeyScalar low, KeyScalar high);
-  uint64_t InsertScalar(uint64_t session_id, const std::string& table,
-                        const std::string& column, KeyScalar value);
-  bool DeleteScalar(uint64_t session_id, const std::string& table,
-                    const std::string& column, KeyScalar value);
-
-  /// int64 conveniences (a double column's f64 sum is rounded+saturated —
-  /// use SumRangeF64/SumRangeScalar for the exact value).
-  uint64_t CountRange(uint64_t session_id, const std::string& table,
-                      const std::string& column, int64_t low, int64_t high);
-  int64_t SumRange(uint64_t session_id, const std::string& table,
-                   const std::string& column, int64_t low, int64_t high);
-  int64_t ProjectSum(uint64_t session_id, const std::string& table,
-                     const std::string& where_column,
-                     const std::string& project_column, int64_t low,
-                     int64_t high);
-  std::vector<uint64_t> SelectRowIds(uint64_t session_id,
-                                     const std::string& table,
-                                     const std::string& column, int64_t low,
-                                     int64_t high);
+  /// Single-column insert / delete of a typed scalar value.
   uint64_t Insert(uint64_t session_id, const std::string& table,
-                  const std::string& column, int64_t value);
+                  const std::string& column, KeyScalar value);
   bool Delete(uint64_t session_id, const std::string& table,
-              const std::string& column, int64_t value);
-
-  /// Double conveniences (F64-suffixed, mirroring the in-process Session).
-  uint64_t CountRangeF64(uint64_t session_id, const std::string& table,
-                         const std::string& column, double low, double high);
-  double SumRangeF64(uint64_t session_id, const std::string& table,
-                     const std::string& column, double low, double high);
-  uint64_t InsertF64(uint64_t session_id, const std::string& table,
-                     const std::string& column, double value);
-  bool DeleteF64(uint64_t session_id, const std::string& table,
-                 const std::string& column, double value);
+              const std::string& column, KeyScalar value);
 
   // --- Pipelined query API ----------------------------------------------
   //
-  // Send* writes the request and returns immediately with its request id;
-  // Await* blocks until that id's response arrives (stashing any other
-  // responses read along the way). Keeping a window of requests in flight
-  // amortizes the per-message network latency — but stay below the
-  // server's max_in_flight_per_connection or its backpressure will park
-  // the stream anyway.
-
-  uint64_t SendCountRange(uint64_t session_id, const std::string& table,
-                          const std::string& column, KeyScalar low,
-                          KeyScalar high);
-  uint64_t AwaitCount(uint64_t request_id);
-
-  uint64_t SendSumRange(uint64_t session_id, const std::string& table,
-                        const std::string& column, KeyScalar low,
-                        KeyScalar high);
-  int64_t AwaitSum(uint64_t request_id);
-  /// The typed form of AwaitSum (f64 carrier for double columns).
-  KeyScalar AwaitSumScalar(uint64_t request_id);
+  // SendExecuteQuery writes the request and returns immediately with its
+  // request id; AwaitExecuteQuery blocks until that id's response arrives
+  // (stashing any other responses read along the way). Keeping a window
+  // of requests in flight amortizes the per-message network latency — but
+  // stay below the server's max_in_flight_per_connection or its
+  // backpressure will park the stream anyway.
 
   uint64_t SendExecuteQuery(
       uint64_t session_id, const std::string& table,

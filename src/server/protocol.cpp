@@ -70,62 +70,6 @@ bool OpenSessionAck::Decode(WireReader& r) { return r.U64(&session_id); }
 void CloseSessionReq::Encode(WireWriter& w) const { w.U64(session_id); }
 bool CloseSessionReq::Decode(WireReader& r) { return r.U64(&session_id); }
 
-void RangeReqBody::Encode(WireWriter& w) const {
-  w.U64(session_id);
-  w.Str(table);
-  w.Str(column);
-  w.Scalar(low);
-  w.Scalar(high);
-}
-bool RangeReqBody::Decode(WireReader& r) {
-  return r.U64(&session_id) && r.Str(&table) && r.Str(&column) &&
-         r.Scalar(&low) && r.Scalar(&high);
-}
-
-void ProjectSumReq::Encode(WireWriter& w) const {
-  w.U64(session_id);
-  w.Str(table);
-  w.Str(where_column);
-  w.Str(project_column);
-  w.Scalar(low);
-  w.Scalar(high);
-}
-bool ProjectSumReq::Decode(WireReader& r) {
-  return r.U64(&session_id) && r.Str(&table) && r.Str(&where_column) &&
-         r.Str(&project_column) && r.Scalar(&low) && r.Scalar(&high);
-}
-
-void CountResult::Encode(WireWriter& w) const { w.U64(count); }
-bool CountResult::Decode(WireReader& r) { return r.U64(&count); }
-
-void SumResult::Encode(WireWriter& w) const { w.Scalar(sum); }
-bool SumResult::Decode(WireReader& r) { return r.Scalar(&sum); }
-
-void ProjectSumResult::Encode(WireWriter& w) const { w.Scalar(sum); }
-bool ProjectSumResult::Decode(WireReader& r) { return r.Scalar(&sum); }
-
-void RowIdsResult::Encode(WireWriter& w) const {
-  w.U32(static_cast<uint32_t>(rowids.size()));
-  for (uint64_t rid : rowids) w.U64(rid);
-}
-bool RowIdsResult::Decode(WireReader& r) {
-  uint32_t n = 0;
-  if (!r.U32(&n)) return false;
-  // The count must match the bytes actually on the wire before any
-  // allocation happens: a lying header cannot reserve gigabytes.
-  if (r.remaining() != static_cast<size_t>(n) * sizeof(uint64_t)) {
-    return false;
-  }
-  rowids.clear();
-  rowids.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t rid = 0;
-    if (!r.U64(&rid)) return false;
-    rowids.push_back(rid);
-  }
-  return true;
-}
-
 void InsertReq::Encode(WireWriter& w) const {
   w.U64(session_id);
   w.Str(table);
@@ -235,8 +179,8 @@ bool ExecuteQueryResult::Decode(WireReader& r) {
   }
   uint32_t n = 0;
   if (!r.U32(&n)) return false;
-  // Like RowIdsResult: the claimed count must match the bytes actually on
-  // the wire before anything is reserved.
+  // The claimed count must match the bytes actually on the wire before
+  // anything is reserved: a lying header cannot reserve gigabytes.
   if (r.remaining() != static_cast<size_t>(n) * sizeof(uint64_t)) {
     return false;
   }
@@ -330,7 +274,7 @@ bool GetStatsResult::Decode(WireReader& r) {
   }
   if (!r.U32(&n) || n > kMaxStatsTraces) return false;
   // Traces are the last section and fixed-size: the byte count must match
-  // exactly (mirrors the RowIdsResult idiom).
+  // exactly (mirrors the ExecuteQueryResult rowid idiom).
   constexpr size_t kTraceBytes = 8 + 1 + 2 + 2 + 4 * 4 + 8 + 8 + 1;
   if (r.remaining() != static_cast<size_t>(n) * kTraceBytes) return false;
   snapshot.traces.resize(n);
@@ -380,7 +324,8 @@ DecodeStatus TryDecodeFrame(const uint8_t* data, size_t size, Frame* out,
     }
     return DecodeStatus::kMalformed;
   }
-  if (type == 0 || type > kMaxMsgType) {
+  if (type == 0 || type > kMaxMsgType ||
+      (type >= kFirstRetiredMsgType && type <= kLastRetiredMsgType)) {
     if (error != nullptr) {
       *error = "unknown message type " + std::to_string(type);
     }
@@ -403,14 +348,6 @@ const char* MsgTypeName(MsgType t) {
     case MsgType::kOpenSessionAck: return "OpenSessionAck";
     case MsgType::kCloseSession: return "CloseSession";
     case MsgType::kCloseSessionAck: return "CloseSessionAck";
-    case MsgType::kCountRange: return "CountRange";
-    case MsgType::kCountResult: return "CountResult";
-    case MsgType::kSumRange: return "SumRange";
-    case MsgType::kSumResult: return "SumResult";
-    case MsgType::kProjectSum: return "ProjectSum";
-    case MsgType::kProjectSumResult: return "ProjectSumResult";
-    case MsgType::kSelectRowIds: return "SelectRowIds";
-    case MsgType::kRowIdsResult: return "RowIdsResult";
     case MsgType::kInsert: return "Insert";
     case MsgType::kInsertResult: return "InsertResult";
     case MsgType::kDelete: return "Delete";

@@ -1,6 +1,6 @@
 /// \file protocol.h
 /// \brief The Holix wire protocol: versioned, length-prefixed binary frames
-/// carrying the engine's §3.1 operator shapes over a byte stream.
+/// carrying the engine's queries and updates over a byte stream.
 ///
 /// Frame layout (all integers little-endian, explicitly serialized — the
 /// encoder never memcpys structs, so the format is stable across ABIs):
@@ -20,26 +20,24 @@
 ///
 /// Since version 2 every query bound, update value and sum result travels
 /// as a *typed scalar*: a u8 kind tag (0 = int64, 1 = double) followed by
-/// 8 payload bytes (two's-complement LE, or IEEE-754 bits LE). SumRange /
-/// ProjectSum over a double column therefore return genuine doubles over
-/// the wire, and clients can express double predicates (including the NaN
-/// key and the infinities) without loss. A kind tag above 1 rejects the
-/// frame.
+/// 8 payload bytes (two's-complement LE, or IEEE-754 bits LE). Sums over a
+/// double column therefore return genuine doubles over the wire, and
+/// clients can express double predicates (including the NaN key and the
+/// infinities) without loss. A kind tag above 1 rejects the frame.
 ///
-/// Version 3 adds the generic ExecuteQuery frame: one request carries a
+/// Version 3 added the generic ExecuteQuery frame: one request carries a
 /// conjunction of 1..kMaxQueryPredicates typed range predicates plus
 /// 1..kMaxQueryResults result requests (count / per-column sums /
 /// rowids), so a multi-predicate TPC-H-Q6-shaped query runs in one round
 /// trip and cracks every predicate column server-side. Predicate and
 /// result counts are validated against their caps BEFORE any allocation,
-/// like every other length in the protocol. The per-primitive query
-/// frames below (CountRange/SumRange/ProjectSum/SelectRowIds) are
-/// one-predicate special cases of ExecuteQuery — deprecated-but-served:
-/// a v3 peer may keep sending them and the server answers them (the
-/// in-tree HolixClient conveniences still do), but new protocol features
-/// land on ExecuteQuery alone. The handshake stays strict as with every
-/// version bump: a pre-v3 client is rejected at Hello, so "served" means
-/// served to same-version peers, not cross-version compatibility.
+/// like every other length in the protocol.
+///
+/// Version 5 makes ExecuteQuery the only query frame: the per-primitive
+/// CountRange / SumRange / ProjectSum / SelectRowIds frames of v2–v4
+/// (types 7–14) are gone, and those type bytes are rejected like any
+/// unknown type. The handshake is strict as with every version bump: a
+/// v4 peer is answered kVersionMismatch at Hello.
 
 #pragma once
 
@@ -63,7 +61,8 @@ inline constexpr uint32_t kMagic = 0x484C5850;
 /// v2: typed scalars (int64/double) in range bounds, update values and
 /// sum results. v3: the generic multi-predicate ExecuteQuery frame.
 /// v4: the GetStats telemetry frame (metrics snapshot + query traces).
-inline constexpr uint16_t kProtocolVersion = 4;
+/// v5: the per-primitive query frames (types 7–14) are retired.
+inline constexpr uint16_t kProtocolVersion = 5;
 /// Hard cap on one frame's payload (validated before allocation). Large
 /// enough for a 2M-rowid select result, small enough that a malformed
 /// length can never balloon memory.
@@ -90,19 +89,7 @@ enum class MsgType : uint8_t {
   kOpenSessionAck = 4,
   kCloseSession = 5,
   kCloseSessionAck = 6,
-  // The four per-primitive query requests (7/9/11/13) are deprecated in
-  // favour of kExecuteQuery: still decoded and served for v3 peers (the
-  // HolixClient convenience calls keep speaking them), but they express
-  // only one-predicate queries — new protocol features land on
-  // kExecuteQuery alone.
-  kCountRange = 7,
-  kCountResult = 8,
-  kSumRange = 9,
-  kSumResult = 10,
-  kProjectSum = 11,
-  kProjectSumResult = 12,
-  kSelectRowIds = 13,
-  kRowIdsResult = 14,
+  // 7–14 carried the per-primitive query frames of v2–v4; retired in v5.
   kInsert = 15,
   kInsertResult = 16,
   kDelete = 17,
@@ -115,6 +102,9 @@ enum class MsgType : uint8_t {
 };
 inline constexpr uint8_t kMaxMsgType =
     static_cast<uint8_t>(MsgType::kGetStatsResult);
+/// The retired gap in the numbering; TryDecodeFrame rejects these types.
+inline constexpr uint8_t kFirstRetiredMsgType = 7;
+inline constexpr uint8_t kLastRetiredMsgType = 14;
 
 /// Error frame codes.
 enum class ErrorCode : uint16_t {
@@ -270,75 +260,6 @@ struct CloseSessionAck {
   bool Decode(WireReader&) { return true; }
 };
 
-/// Shared shape of the four single-attribute range requests. Bounds are
-/// typed scalars: int64 carriers clamp exactly into any column's domain,
-/// double carriers express floating-point predicates.
-struct RangeReqBody {
-  uint64_t session_id = 0;
-  std::string table;
-  std::string column;
-  KeyScalar low;
-  KeyScalar high;
-  void Encode(WireWriter& w) const;
-  bool Decode(WireReader& r);
-};
-
-struct CountRangeReq : RangeReqBody {
-  static constexpr MsgType kType = MsgType::kCountRange;
-};
-
-struct SumRangeReq : RangeReqBody {
-  static constexpr MsgType kType = MsgType::kSumRange;
-};
-
-struct SelectRowIdsReq : RangeReqBody {
-  static constexpr MsgType kType = MsgType::kSelectRowIds;
-};
-
-struct ProjectSumReq {
-  static constexpr MsgType kType = MsgType::kProjectSum;
-  uint64_t session_id = 0;
-  std::string table;
-  std::string where_column;
-  std::string project_column;
-  KeyScalar low;
-  KeyScalar high;
-  void Encode(WireWriter& w) const;
-  bool Decode(WireReader& r);
-};
-
-struct CountResult {
-  static constexpr MsgType kType = MsgType::kCountResult;
-  uint64_t count = 0;
-  void Encode(WireWriter& w) const;
-  bool Decode(WireReader& r);
-};
-
-/// The sum's carrier follows the summed column's type: int64 columns
-/// answer i64 scalars, double columns answer f64 scalars.
-struct SumResult {
-  static constexpr MsgType kType = MsgType::kSumResult;
-  KeyScalar sum;
-  void Encode(WireWriter& w) const;
-  bool Decode(WireReader& r);
-};
-
-struct ProjectSumResult {
-  static constexpr MsgType kType = MsgType::kProjectSumResult;
-  KeyScalar sum;
-  void Encode(WireWriter& w) const;
-  bool Decode(WireReader& r);
-};
-
-struct RowIdsResult {
-  static constexpr MsgType kType = MsgType::kRowIdsResult;
-  std::vector<uint64_t> rowids;
-  void Encode(WireWriter& w) const;
-  /// Validates the u32 element count against the bytes actually present
-  /// before reserving anything.
-  bool Decode(WireReader& r);
-};
-
 struct InsertReq {
   static constexpr MsgType kType = MsgType::kInsert;
   uint64_t session_id = 0;
@@ -382,8 +303,9 @@ struct ErrorMsg {
 };
 
 /// One wire conjunct of an ExecuteQuery: low <= column < high with typed
-/// scalar bounds (the engine's closed-bound degradation applies at the
-/// order's top, exactly as in the one-predicate range requests).
+/// scalar bounds (int64 carriers clamp exactly into any column's domain,
+/// double carriers express floating-point predicates; the engine's
+/// closed-bound degradation applies at the order's top).
 struct QueryPredicateWire {
   std::string column;
   KeyScalar low;
@@ -399,7 +321,7 @@ struct QueryResultSpecWire {
   std::string column;
 };
 
-/// v3 declarative query: a conjunction of 1..kMaxQueryPredicates typed
+/// The declarative query: a conjunction of 1..kMaxQueryPredicates typed
 /// range predicates over one table plus 1..kMaxQueryResults result
 /// requests. Both counts are validated against their caps — and a zero
 /// count is rejected — before any vector grows.

@@ -23,13 +23,6 @@
 /// than ServerOptions::max_queued_bytes_per_connection of undelivered
 /// response bytes. Reads resume when the window reopens.
 ///
-/// Shared scans: when ServerOptions::shared_scans is on, concurrent
-/// CountRange requests (and count-only single-predicate ExecuteQuery
-/// frames) against the same column are coalesced into one
-/// Database::CountRangeBatchScalar pass — the union of the bounds is
-/// cracked once and each request's count is carved out of a single scan
-/// (see shared_scan.h).
-///
 /// Shutdown: Stop() closes the listener, stops frame decoding, *drains*
 /// every in-flight query (responses still go out), flushes write queues
 /// (bounded by ServerOptions::drain_flush_seconds for peers that stopped
@@ -56,8 +49,6 @@ class Database;
 }
 
 namespace holix::net {
-
-class SharedScanCoalescer;
 
 /// Construction-time options of a HolixServer.
 struct ServerOptions {
@@ -89,9 +80,6 @@ struct ServerOptions {
   /// Number of epoll IO threads. Two saturate loopback comfortably; raise
   /// toward the physical core count for many active NIC-attached clients.
   size_t io_threads = 2;
-
-  /// Coalesce concurrent same-column count requests into shared scans.
-  bool shared_scans = true;
 
   /// Serve a plain-HTTP `GET /metrics` endpoint (Prometheus text
   /// exposition) on the event loop. Enabled by metrics_http or a nonzero
@@ -147,14 +135,6 @@ class HolixServer {
   uint64_t PeakConnections() const {
     return peak_connections_.load(std::memory_order_relaxed);
   }
-
-  /// Count-range batches the shared-scan coalescer ran (0 when off).
-  /// Snapshot reads of the global holix_sharedscan_* registry series,
-  /// relative to a baseline captured at construction, so the value covers
-  /// exactly this server's lifetime.
-  uint64_t SharedScanBatches() const;
-  /// Requests answered through those batches.
-  uint64_t SharedScanRequests() const;
 
  private:
   struct IoLoop;
@@ -264,18 +244,11 @@ class HolixServer {
   /// waits for zero (pool closures never block on sockets, so this always
   /// drains).
   std::atomic<uint64_t> global_in_flight_{0};
-  std::unique_ptr<SharedScanCoalescer> coalescer_;
 
   std::atomic<uint64_t> total_connections_{0};
   std::atomic<uint64_t> total_requests_{0};
   std::atomic<uint64_t> open_connections_{0};
   std::atomic<uint64_t> peak_connections_{0};
-  /// Registry values of the holix_sharedscan_* counters at construction;
-  /// SharedScanBatches()/SharedScanRequests() report deltas against these
-  /// so the accessors cover exactly this server's lifetime even though the
-  /// registry is process-global.
-  uint64_t sharedscan_batches_base_ = 0;
-  uint64_t sharedscan_requests_base_ = 0;
 };
 
 }  // namespace holix::net

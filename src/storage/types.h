@@ -116,29 +116,6 @@ struct KeyScalar {
   constexpr double AsF64() const {
     return is_f64() ? d : static_cast<double>(i);
   }
-
-  /// Value as an int64: rounds a double carrier to the nearest integer and
-  /// saturates at the int64 range; the NaN key maps to 0. This is the
-  /// documented behaviour of the integer facade over double columns.
-  constexpr int64_t AsI64Saturating() const {
-    if (!is_f64()) return i;
-    if (d != d) return 0;
-    // 2^63 is exactly representable; anything at or above it saturates.
-    if (d >= 9223372036854775808.0) {
-      return std::numeric_limits<int64_t>::max();
-    }
-    if (d <= -9223372036854775808.0) {
-      return std::numeric_limits<int64_t>::min();
-    }
-    const double r = d < 0 ? d - 0.5 : d + 0.5;  // round half away from zero
-    if (r >= 9223372036854775808.0) {
-      return std::numeric_limits<int64_t>::max();
-    }
-    if (r <= -9223372036854775808.0) {
-      return std::numeric_limits<int64_t>::min();
-    }
-    return static_cast<int64_t>(r);
-  }
 };
 
 // ---------------------------------------------------------------------------

@@ -90,15 +90,17 @@ TEST_F(ReconnectTest, ReadRetriesAcrossRestartWithSameSessionHandle) {
   client.Connect("127.0.0.1", port_, FastReconnect());
   const uint64_t sid = client.OpenSession();
 
-  EXPECT_EQ(client.CountRange(sid, "r", "a", 100, 5000), Oracle(100, 5000));
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", 100, 5000),
+            Oracle(100, 5000));
 
   StopServer();
   StartServer();
 
   // The client's socket is stale; the next read must reconnect, re-open
   // the session behind the handle, and return the exact oracle count.
-  EXPECT_EQ(client.CountRange(sid, "r", "a", 100, 5000), Oracle(100, 5000));
-  EXPECT_EQ(client.CountRange(sid, "r", "a", 0, kDomain), kRows);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", 100, 5000),
+            Oracle(100, 5000));
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", 0, kDomain), kRows);
   client.CloseSession(sid);
 }
 
@@ -106,7 +108,7 @@ TEST_F(ReconnectTest, ReadBacksOffWhileServerIsDown) {
   HolixClient client;
   client.Connect("127.0.0.1", port_, FastReconnect());
   const uint64_t sid = client.OpenSession();
-  ASSERT_EQ(client.CountRange(sid, "r", "a", 0, 1000), Oracle(0, 1000));
+  ASSERT_EQ(test::WireCount(client, sid, "r", "a", 0, 1000), Oracle(0, 1000));
 
   StopServer();
 
@@ -115,7 +117,7 @@ TEST_F(ReconnectTest, ReadBacksOffWhileServerIsDown) {
   // the outage and still return the right answer.
   std::atomic<uint64_t> got{~uint64_t{0}};
   std::thread reader([&] {
-    got.store(client.CountRange(sid, "r", "a", 0, 1000),
+    got.store(test::WireCount(client, sid, "r", "a", 0, 1000),
               std::memory_order_release);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
@@ -134,10 +136,10 @@ TEST_F(ReconnectTest, MultipleSessionHandlesRebind) {
   StopServer();
   StartServer();
 
-  EXPECT_EQ(client.CountRange(s1, "r", "a", 0, kDomain), kRows);
-  EXPECT_EQ(client.CountRange(s2, "r", "a", 500, 700), Oracle(500, 700));
+  EXPECT_EQ(test::WireCount(client, s1, "r", "a", 0, kDomain), kRows);
+  EXPECT_EQ(test::WireCount(client, s2, "r", "a", 500, 700), Oracle(500, 700));
   client.CloseSession(s1);
-  EXPECT_EQ(client.CountRange(s2, "r", "a", 0, 64), Oracle(0, 64));
+  EXPECT_EQ(test::WireCount(client, s2, "r", "a", 0, 64), Oracle(0, 64));
   client.CloseSession(s2);
 }
 
@@ -148,9 +150,9 @@ TEST_F(ReconnectTest, AcknowledgedUpdatesSurviveAndAreNeverDuplicated) {
 
   // kDomain itself never occurs in the loaded data, so its count isolates
   // exactly the updates this test applies.
-  ASSERT_EQ(client.CountRange(sid, "r", "a", kDomain, kDomain + 10), 0u);
+  ASSERT_EQ(test::WireCount(client, sid, "r", "a", kDomain, kDomain + 10), 0u);
   (void)client.Insert(sid, "r", "a", kDomain);
-  ASSERT_EQ(client.CountRange(sid, "r", "a", kDomain, kDomain + 10), 1u);
+  ASSERT_EQ(test::WireCount(client, sid, "r", "a", kDomain, kDomain + 10), 1u);
 
   StopServer();
 
@@ -162,12 +164,12 @@ TEST_F(ReconnectTest, AcknowledgedUpdatesSurviveAndAreNeverDuplicated) {
 
   // The acknowledged insert is still there exactly once, and the failed
   // one was not replayed behind the caller's back.
-  EXPECT_EQ(client.CountRange(sid, "r", "a", kDomain, kDomain + 10), 1u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", kDomain, kDomain + 10), 1u);
   // An update issued after the reconnect applies normally.
   (void)client.Insert(sid, "r", "a", kDomain);
-  EXPECT_EQ(client.CountRange(sid, "r", "a", kDomain, kDomain + 10), 2u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", kDomain, kDomain + 10), 2u);
   EXPECT_TRUE(client.Delete(sid, "r", "a", kDomain));
-  EXPECT_EQ(client.CountRange(sid, "r", "a", kDomain, kDomain + 10), 1u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", kDomain, kDomain + 10), 1u);
 }
 
 TEST_F(ReconnectTest, PipelinedWindowStraddlingRestartLosesNoAcknowledgedResult) {
@@ -178,11 +180,11 @@ TEST_F(ReconnectTest, PipelinedWindowStraddlingRestartLosesNoAcknowledgedResult)
   // Awaited (acknowledged) pipelined results before the restart...
   std::vector<uint64_t> ids;
   for (int i = 0; i < 8; ++i) {
-    ids.push_back(client.SendCountRange(sid, "r", "a", KeyScalar::I64(i * 100),
-                                        KeyScalar::I64(i * 100 + 1000)));
+    ids.push_back(
+        test::SendWireCount(client, sid, "r", "a", i * 100, i * 100 + 1000));
   }
   std::vector<uint64_t> before;
-  for (uint64_t id : ids) before.push_back(client.AwaitCount(id));
+  for (uint64_t id : ids) before.push_back(test::AwaitWireCount(client, id));
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(before[static_cast<size_t>(i)], Oracle(i * 100, i * 100 + 1000));
   }
@@ -193,28 +195,28 @@ TEST_F(ReconnectTest, PipelinedWindowStraddlingRestartLosesNoAcknowledgedResult)
   // ...must agree with the same queries re-issued after it (nothing lost,
   // nothing double-counted), and the pipelined path itself recovers once
   // the synchronous path has re-dialed.
-  EXPECT_EQ(client.CountRange(sid, "r", "a", 0, 1000), Oracle(0, 1000));
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", 0, 1000), Oracle(0, 1000));
   const uint64_t id2 =
-      client.SendCountRange(sid, "r", "a", KeyScalar::I64(0),
-                            KeyScalar::I64(1000));
-  EXPECT_EQ(client.AwaitCount(id2), Oracle(0, 1000));
+      test::SendWireCount(client, sid, "r", "a", 0, 1000);
+  EXPECT_EQ(test::AwaitWireCount(client, id2), Oracle(0, 1000));
 }
 
 TEST_F(ReconnectTest, WithoutReconnectOptionTheLossSurfaces) {
   HolixClient client;
   client.Connect("127.0.0.1", port_);  // reconnect off (default)
   const uint64_t sid = client.OpenSession();
-  ASSERT_EQ(client.CountRange(sid, "r", "a", 0, 64), Oracle(0, 64));
+  ASSERT_EQ(test::WireCount(client, sid, "r", "a", 0, 64), Oracle(0, 64));
 
   StopServer();
   StartServer();
 
-  EXPECT_THROW((void)client.CountRange(sid, "r", "a", 0, 64), ConnectionLost);
+  EXPECT_THROW((void)test::WireCount(client, sid, "r", "a", 0, 64),
+               ConnectionLost);
   EXPECT_FALSE(client.connected());
   // ConnectionLost derives std::runtime_error, so legacy catch sites work.
   client.Connect("127.0.0.1", port_);
   const uint64_t sid2 = client.OpenSession();
-  EXPECT_EQ(client.CountRange(sid2, "r", "a", 0, 64), Oracle(0, 64));
+  EXPECT_EQ(test::WireCount(client, sid2, "r", "a", 0, 64), Oracle(0, 64));
 }
 
 }  // namespace

@@ -133,6 +133,56 @@ TEST(CrackerColumn, SumRangeMatchesNaive) {
   EXPECT_EQ(col.SumRange(r), naive);
 }
 
+// A range selected before a Ripple delete merge shrank the column may end
+// past the new size. Scanning it must stop at the size, not spin forever
+// looking for the piece holding a position that no longer exists.
+TEST(CrackerColumn, ScanRangeClampsToColumnShrunkByDeleteMerge) {
+  CrackerColumn<int64_t> col("a", test::MakeSequential(1000));
+  const PositionRange r = col.SelectRange(900, 1000);  // ends at the tail
+  ASSERT_EQ(r.end, col.size());
+  // Rowid == value in a sequential column: delete the rows holding
+  // 950..999, then merge them, shrinking the column to 950 rows.
+  for (int64_t v = 950; v < 1000; ++v) {
+    col.pending().AddDelete(v, static_cast<RowId>(v));
+  }
+  col.MergePendingAtLeast(KeyTraits<int64_t>::Lowest());
+  ASSERT_EQ(col.size(), 950u);
+  size_t visited = 0;
+  col.ScanRange(r, [&](int64_t v, RowId rid) {
+    EXPECT_GE(v, 900);
+    EXPECT_LT(v, 950);  // only rows below the new size
+    EXPECT_EQ(rid, static_cast<RowId>(v));
+    ++visited;
+  });
+  EXPECT_EQ(visited, col.size() - r.begin);
+  EXPECT_TRUE(col.CheckInvariants());
+}
+
+// A Ripple merge in an earlier piece shifts the rows of a range selected
+// before it. ScanRangeAt detects the stale layout and visits nothing; a
+// fresh select then scans exactly the selected rows.
+TEST(CrackerColumn, ScanRangeAtRejectsRangeShiftedByMerge) {
+  CrackerColumn<int64_t> col("a", test::MakeSequential(1000));
+  uint64_t layout = 0;
+  PositionRange r = col.SelectRange(500, 600, {}, &layout);
+  col.SelectRange(100, 200);  // a boundary-separated piece below
+  col.pending().AddDelete(150, 150);
+  // The merge shifts the rows of [500, 600) one position down.
+  col.MergePendingAtLeast(KeyTraits<int64_t>::Lowest());
+  size_t visited = 0;
+  auto count = [&](int64_t, RowId) { ++visited; };
+  EXPECT_FALSE(col.ScanRangeAt(r, layout, count));
+  EXPECT_EQ(visited, 0u);
+
+  r = col.SelectRange(500, 600, {}, &layout);
+  int64_t sum = 0;
+  auto add = [&](int64_t v, RowId) { sum += v; };
+  EXPECT_TRUE(col.ScanRangeAt(r, layout, add));
+  EXPECT_EQ(sum, (500 + 599) * 100 / 2);
+  // An empty range needs no layout.
+  EXPECT_TRUE(col.ScanRangeAt({0, 0}, layout + 1, [&](int64_t, RowId) {}));
+}
+
 TEST(CrackerColumn, TryRefineCreatesPieces) {
   const auto base = MakeUniform(10000, 1u << 20, 11);
   CrackerColumn<int64_t> col("a", base);

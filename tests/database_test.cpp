@@ -35,7 +35,7 @@ TEST_P(ExecModeTest, CountsMatchNaiveReference) {
   for (int i = 0; i < 60; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t width = 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
-    ASSERT_EQ(db.CountRange("r", "a", lo, lo + width),
+    ASSERT_EQ(test::Count(db, db.Resolve("r", "a"), lo, lo + width),
               NaiveCount(data, lo, lo + width))
         << ExecModeName(GetParam()) << " query " << i;
   }
@@ -59,8 +59,9 @@ TEST_P(ExecModeTest, SumAndRowIdsConsistent) {
       ++naive_count;
     }
   }
-  EXPECT_EQ(db.SumRange("r", "a", 1000, 500000), naive_sum);
-  const PositionList rows = db.SelectRowIds("r", "a", 1000, 500000);
+  EXPECT_EQ(test::Sum(db, db.Resolve("r", "a"), 1000, 500000).i, naive_sum);
+  const PositionList rows =
+      test::RowIds(db, db.Resolve("r", "a"), 1000, 500000);
   EXPECT_EQ(rows.size(), naive_count);
   for (RowId r : rows) {
     ASSERT_GE(data[r], 1000);
@@ -87,7 +88,7 @@ TEST(Database, CcgiPrePartitionsOnFirstQuery) {
   opts.ccgi_chunks = 8;
   Database db(opts);
   db.LoadColumn("r", "a", GenerateUniformColumn(kRows, kDomain, 13));
-  db.CountRange("r", "a", 100, 200);
+  test::Count(db, db.Resolve("r", "a"), 100, 200);
   // 8 coarse chunks plus the query's own cracks.
   EXPECT_GE(db.TotalIndexPieces(), 8u);
 }
@@ -101,7 +102,8 @@ TEST(Database, HolisticRefinesInBackground) {
   opts.holistic.monitor_interval_seconds = 0.001;
   Database db(opts);
   db.LoadColumn("r", "a", GenerateUniformColumn(500000, kDomain, 14));
-  db.CountRange("r", "a", 100, 200);  // creates the index (C_actual)
+  // Creates the index (C_actual).
+  test::Count(db, db.Resolve("r", "a"), 100, 200);
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   EXPECT_GT(db.holistic()->TotalWorkerCracks(), 0u);
   EXPECT_GT(db.TotalIndexPieces(), 3u);
@@ -127,7 +129,7 @@ TEST(Database, SeedPotentialIndexRefinedBeforeQueries) {
   EXPECT_GT(db.TotalIndexPieces(), 2u);  // refined while idle
   // First query promotes it (unless it already converged to optimal) and
   // still answers correctly.
-  EXPECT_EQ(db.CountRange("r", "a", 5000, 90000),
+  EXPECT_EQ(test::Count(db, db.Resolve("r", "a"), 5000, 90000),
             NaiveCount(data, 5000, 90000));
   EXPECT_EQ(db.holistic()->store().Count(ConfigKind::kActual) +
                 db.holistic()->store().Count(ConfigKind::kOptimal),
@@ -141,10 +143,10 @@ TEST(Database, InsertsVisibleAfterMerge) {
   Database db(opts);
   const auto data = GenerateUniformColumn(10000, 1000, 16);
   db.LoadColumn("r", "a", data);
-  const size_t before = db.CountRange("r", "a", 400, 410);
-  db.Insert("r", "a", 405);
-  db.Insert("r", "a", 405);
-  EXPECT_EQ(db.CountRange("r", "a", 400, 410), before + 2);
+  const size_t before = test::Count(db, db.Resolve("r", "a"), 400, 410);
+  db.Insert(db.Resolve("r", "a"), 405);
+  db.Insert(db.Resolve("r", "a"), 405);
+  EXPECT_EQ(test::Count(db, db.Resolve("r", "a"), 400, 410), before + 2);
 }
 
 TEST(Database, DeleteRemovesRow) {
@@ -152,11 +154,12 @@ TEST(Database, DeleteRemovesRow) {
   opts.mode = ExecMode::kAdaptive;
   Database db(opts);
   db.LoadColumn("r", "a", GenerateUniformColumn(10000, 1000, 17));
-  db.Insert("r", "a", 777000);  // outside base domain: uniquely ours
-  EXPECT_EQ(db.CountRange("r", "a", 777000, 777001), 1u);
-  EXPECT_TRUE(db.Delete("r", "a", 777000));
-  EXPECT_EQ(db.CountRange("r", "a", 777000, 777001), 0u);
-  EXPECT_FALSE(db.Delete("r", "a", 777000));
+  // Outside the base domain: uniquely ours.
+  db.Insert(db.Resolve("r", "a"), 777000);
+  EXPECT_EQ(test::Count(db, db.Resolve("r", "a"), 777000, 777001), 1u);
+  EXPECT_TRUE(db.Delete(db.Resolve("r", "a"), 777000));
+  EXPECT_EQ(test::Count(db, db.Resolve("r", "a"), 777000, 777001), 0u);
+  EXPECT_FALSE(db.Delete(db.Resolve("r", "a"), 777000));
 }
 
 TEST(Database, UpdatesRejectedInScanMode) {
@@ -164,7 +167,7 @@ TEST(Database, UpdatesRejectedInScanMode) {
   opts.mode = ExecMode::kScan;
   Database db(opts);
   db.LoadColumn("r", "a", {1, 2, 3});
-  EXPECT_THROW(db.Insert("r", "a", 5), std::logic_error);
+  EXPECT_THROW(db.Insert(db.Resolve("r", "a"), 5), std::logic_error);
 }
 
 TEST(Database, StorageBudgetEvictsColdIndices) {
@@ -179,17 +182,17 @@ TEST(Database, StorageBudgetEvictsColdIndices) {
     db.LoadColumn("r", "a" + std::to_string(i),
                   GenerateUniformColumn(20000, kDomain, 18 + i));
   }
-  db.CountRange("r", "a0", 10, 100000);
-  db.CountRange("r", "a0", 10, 100000);  // a0 is hot
-  db.CountRange("r", "a1", 10, 20);
-  db.CountRange("r", "a2", 10, 20);  // must evict someone
+  test::Count(db, db.Resolve("r", "a0"), 10, 100000);
+  test::Count(db, db.Resolve("r", "a0"), 10, 100000);  // a0 is hot
+  test::Count(db, db.Resolve("r", "a1"), 10, 20);
+  test::Count(db, db.Resolve("r", "a2"), 10, 20);  // must evict someone
   EXPECT_LE(db.holistic()->store().TotalBytes(),
             opts.holistic.storage_budget_bytes);
   EXPECT_LE(db.NumAdaptiveIndices(), 2u);
   // Queries on evicted columns still answer correctly (index rebuilt).
   const auto data = GenerateUniformColumn(20000, kDomain, 19);
   db.LoadColumn("r", "fresh", data);
-  EXPECT_EQ(db.CountRange("r", "fresh", 100, 5000),
+  EXPECT_EQ(test::Count(db, db.Resolve("r", "fresh"), 100, 5000),
             NaiveCount(data, 100, 5000));
 }
 
@@ -210,7 +213,7 @@ TEST(Database, MultiClientHolisticConsistency) {
       for (int i = 0; i < 50; ++i) {
         const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
         const int64_t width = 1 + static_cast<int64_t>(rng.Below(kDomain / 8));
-        if (db.CountRange("r", "a", lo, lo + width) !=
+        if (test::Count(db, db.Resolve("r", "a"), lo, lo + width) !=
             NaiveCount(data, lo, lo + width)) {
           failures.fetch_add(1);
         }
@@ -231,8 +234,10 @@ TEST(Database, OfflinePrepareSortsAllColumns) {
   db.LoadColumn("r", "a", a);
   db.LoadColumn("r", "b", b);
   db.PrepareOfflineIndexes();
-  EXPECT_EQ(db.CountRange("r", "a", 100, 90000), NaiveCount(a, 100, 90000));
-  EXPECT_EQ(db.CountRange("r", "b", 100, 90000), NaiveCount(b, 100, 90000));
+  EXPECT_EQ(test::Count(db, db.Resolve("r", "a"), 100, 90000),
+            NaiveCount(a, 100, 90000));
+  EXPECT_EQ(test::Count(db, db.Resolve("r", "b"), 100, 90000),
+            NaiveCount(b, 100, 90000));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "engine/database.h"
 #include "harness/runner.h"
+#include "test_support.h"
 #include "workload/workload.h"
 
 namespace holix {
@@ -109,13 +110,13 @@ TEST(Integration, InterleavedUpdatesAcrossModes) {
     opts.total_cores = 3;
     Database db(opts);
     db.LoadColumn("r", "a0", GenerateUniformColumn(30000, 1 << 16, 17));
+    const ColumnHandle a0 = db.Resolve("r", "a0");
     std::vector<size_t> counts;
     for (const auto& op : ops) {
       if (op.kind == WorkloadOp::Kind::kQuery) {
-        counts.push_back(
-            db.CountRange("r", "a0", op.query.low, op.query.high));
+        counts.push_back(test::Count(db, a0, op.query.low, op.query.high));
       } else if (op.kind == WorkloadOp::Kind::kInsert) {
-        db.Insert("r", "a0", op.insert_value);
+        db.Insert(a0, op.insert_value);
       }
     }
     return counts;

@@ -190,8 +190,8 @@ TEST_F(PersistTest, SnapshotManifestRoundTrip) {
   db.LoadColumn("r", "a", data);
   const ColumnHandle h = db.Resolve("r", "a");
   // Crack a little so pivots and stats are non-trivial.
-  (void)db.CountRange(h, 1000, 5000);
-  (void)db.CountRange(h, 200000, 400000);
+  (void)test::Count(db, h, 1000, 5000);
+  (void)test::Count(db, h, 200000, 400000);
 
   const DurableDatabaseState st = db.ExportDurableState();
   ASSERT_EQ(st.columns.size(), 1u);
@@ -255,8 +255,8 @@ TEST_F(PersistTest, FailedCheckpointLeavesThePreviousManifestInForce) {
     const uint64_t good_lsn = pm.last_checkpoint_lsn();
 
     // Updates after the good checkpoint live in the WAL.
-    (void)db.Insert("r", "a", kDomain + 1);
-    (void)db.Insert("r", "a", kDomain + 2);
+    (void)db.Insert(db.Resolve("r", "a"), kDomain + 1);
+    (void)db.Insert(db.Resolve("r", "a"), kDomain + 2);
 
     // The next checkpoint dies on its first rename (a column file or the
     // manifest publish — either way the old manifest must survive).
@@ -269,8 +269,8 @@ TEST_F(PersistTest, FailedCheckpointLeavesThePreviousManifestInForce) {
     io::ReloadFaultConfigForTest();
 
     EXPECT_EQ(pm.last_checkpoint_lsn(), good_lsn);
-    (void)db.Insert("r", "a", kDomain + 3);
-    final_count = db.CountRange("r", "a", kDomain, kDomain + 10);
+    (void)db.Insert(db.Resolve("r", "a"), kDomain + 3);
+    final_count = test::Count(db, db.Resolve("r", "a"), kDomain, kDomain + 10);
     EXPECT_EQ(final_count, 3u);
   }
   // Recovery proceeds from the previous manifest + full WAL replay — the
@@ -278,8 +278,9 @@ TEST_F(PersistTest, FailedCheckpointLeavesThePreviousManifestInForce) {
   Database db2(ModeOptions(ExecMode::kAdaptive));
   PersistenceManager pm2(db2, DirOptions(temp_dir()));
   EXPECT_TRUE(pm2.recovered());
-  EXPECT_EQ(db2.CountRange("r", "a", kDomain, kDomain + 10), final_count);
-  EXPECT_EQ(db2.CountRange("r", "a", 0, kDomain),
+  EXPECT_EQ(test::Count(db2, db2.Resolve("r", "a"), kDomain, kDomain + 10),
+            final_count);
+  EXPECT_EQ(test::Count(db2, db2.Resolve("r", "a"), 0, kDomain),
             test::NaiveCount(data, 0, kDomain));
 }
 
@@ -293,26 +294,27 @@ TEST_F(PersistTest, WalTailReplaysOnTopOfTheSnapshot) {
     Database db(ModeOptions(ExecMode::kAdaptive));
     db.LoadColumn("r", "a", data);
     PersistenceManager pm(db, DirOptions(temp_dir()));
-    (void)db.CountRange("r", "a", 1000, 9000);
-    (void)db.Insert("r", "a", kDomain + 5);
+    (void)test::Count(db, db.Resolve("r", "a"), 1000, 9000);
+    (void)db.Insert(db.Resolve("r", "a"), kDomain + 5);
     ckpt_lsn = pm.Checkpoint();
 
     // Post-checkpoint tail: inserts, a delete of a base value, queries.
-    (void)db.Insert("r", "a", kDomain + 6);
-    (void)db.Insert("r", "a", 777);
-    EXPECT_TRUE(db.Delete("r", "a", data[0]));
-    (void)db.CountRange("r", "a", 500000, 700000);
-    count_low = db.CountRange("r", "a", 0, 1000);
-    count_probe = db.CountRange("r", "a", kDomain, kDomain + 100);
+    (void)db.Insert(db.Resolve("r", "a"), kDomain + 6);
+    (void)db.Insert(db.Resolve("r", "a"), 777);
+    EXPECT_TRUE(db.Delete(db.Resolve("r", "a"), data[0]));
+    (void)test::Count(db, db.Resolve("r", "a"), 500000, 700000);
+    count_low = test::Count(db, db.Resolve("r", "a"), 0, 1000);
+    count_probe = test::Count(db, db.Resolve("r", "a"), kDomain, kDomain + 100);
     EXPECT_EQ(count_probe, 2u);
   }
   Database db2(ModeOptions(ExecMode::kAdaptive));
   PersistenceManager pm2(db2, DirOptions(temp_dir()));
   ASSERT_TRUE(pm2.recovered());
   EXPECT_GT(pm2.recovered_lsn(), ckpt_lsn);  // the tail actually replayed
-  EXPECT_EQ(db2.CountRange("r", "a", 0, 1000), count_low);
-  EXPECT_EQ(db2.CountRange("r", "a", kDomain, kDomain + 100), count_probe);
-  EXPECT_EQ(db2.CountRange("r", "a", 777, 778),
+  EXPECT_EQ(test::Count(db2, db2.Resolve("r", "a"), 0, 1000), count_low);
+  EXPECT_EQ(test::Count(db2, db2.Resolve("r", "a"), kDomain, kDomain + 100),
+            count_probe);
+  EXPECT_EQ(test::Count(db2, db2.Resolve("r", "a"), 777, 778),
             test::NaiveCount(data, 777, 778) + 1);
 }
 
@@ -326,11 +328,11 @@ TEST_F(PersistTest, WarmStartReproducesBitIdenticalPieceBoundaries) {
     const ColumnHandle h = db.Resolve("r", "a");
     // A query stream that cracks across the domain, plus merged updates.
     for (int i = 0; i < 50; ++i) {
-      (void)db.CountRange(h, (i * 7919) % kDomain,
-                          ((i * 7919) % kDomain) + 2048);
+      (void)test::Count(db, h, (i * 7919) % kDomain,
+                        ((i * 7919) % kDomain) + 2048);
     }
-    (void)db.Insert("r", "a", 4242);
-    EXPECT_TRUE(db.Delete("r", "a", data[10]));
+    (void)db.Insert(db.Resolve("r", "a"), 4242);
+    EXPECT_TRUE(db.Delete(db.Resolve("r", "a"), data[10]));
     pm.Checkpoint();
     // The checkpoint force-merged all pending updates, so this export is
     // exactly the achieved-index state recovery must reproduce.
@@ -370,23 +372,23 @@ TEST_F(PersistTest, DoubleColumnsRecoverNaNNegZeroAndInfinities) {
     Database db(ModeOptions(ExecMode::kAdaptive));
     db.LoadColumn<double>("r", "d", data);
     PersistenceManager pm(db, DirOptions(temp_dir()));
-    (void)db.InsertF64("r", "d", -0.0);
-    (void)db.InsertF64("r", "d", nan);
+    (void)db.Insert(db.Resolve("r", "d"), -0.0);
+    (void)db.Insert(db.Resolve("r", "d"), nan);
     pm.Checkpoint();
-    (void)db.InsertF64("r", "d", inf);  // WAL tail
-    nan_count = db.CountRangeF64("r", "d", nan, nan);
-    neg_count = db.CountRangeF64("r", "d", -inf, 0.0);
-    fin_count = db.CountRangeF64("r", "d", 0.0, inf);
+    (void)db.Insert(db.Resolve("r", "d"), inf);  // WAL tail
+    nan_count = test::Count(db, db.Resolve("r", "d"), nan, nan);
+    neg_count = test::Count(db, db.Resolve("r", "d"), -inf, 0.0);
+    fin_count = test::Count(db, db.Resolve("r", "d"), 0.0, inf);
     EXPECT_EQ(nan_count, 3u);
   }
   Database db2(ModeOptions(ExecMode::kAdaptive));
   PersistenceManager pm2(db2, DirOptions(temp_dir()));
   ASSERT_TRUE(pm2.recovered());
-  EXPECT_EQ(db2.CountRangeF64("r", "d", nan, nan), nan_count);
-  EXPECT_EQ(db2.CountRangeF64("r", "d", -inf, 0.0), neg_count);
-  EXPECT_EQ(db2.CountRangeF64("r", "d", 0.0, inf), fin_count);
+  EXPECT_EQ(test::Count(db2, db2.Resolve("r", "d"), nan, nan), nan_count);
+  EXPECT_EQ(test::Count(db2, db2.Resolve("r", "d"), -inf, 0.0), neg_count);
+  EXPECT_EQ(test::Count(db2, db2.Resolve("r", "d"), 0.0, inf), fin_count);
   // -0.0 rows answer a [0.0, x) probe (the canonical zero class).
-  EXPECT_EQ(db2.CountRangeF64("r", "d", 0.0, 1.0), 3u);
+  EXPECT_EQ(test::Count(db2, db2.Resolve("r", "d"), 0.0, 1.0), 3u);
 }
 
 /// Checkpoint → recover must be checksum-equal to the uninterrupted oracle
@@ -416,15 +418,18 @@ TEST_P(PersistAllModesTest, CheckpointRecoverMatchesOracleCounts) {
     Database db(ModeOptions(mode));
     db.LoadColumn("r", "a", data);
     PersistenceManager pm(db, DirOptions(temp_dir()));
-    for (const auto& [lo, hi] : probes) (void)db.CountRange("r", "a", lo, hi);
+    for (const auto& [lo, hi] : probes) {
+      (void)test::Count(db, db.Resolve("r", "a"), lo, hi);
+    }
     if (cracking_mode) {
-      (void)db.Insert("r", "a", kDomain + 1);
-      EXPECT_TRUE(db.Delete("r", "a", data[3]));
+      (void)db.Insert(db.Resolve("r", "a"), kDomain + 1);
+      EXPECT_TRUE(db.Delete(db.Resolve("r", "a"), data[3]));
     }
     pm.Checkpoint();
-    if (cracking_mode) (void)db.Insert("r", "a", kDomain + 2);  // WAL tail
+    // WAL tail.
+    if (cracking_mode) (void)db.Insert(db.Resolve("r", "a"), kDomain + 2);
     for (const auto& [lo, hi] : probes) {
-      oracle.push_back(db.CountRange("r", "a", lo, hi));
+      oracle.push_back(test::Count(db, db.Resolve("r", "a"), lo, hi));
     }
   }
 
@@ -432,7 +437,8 @@ TEST_P(PersistAllModesTest, CheckpointRecoverMatchesOracleCounts) {
   PersistenceManager pm2(db2, DirOptions(temp_dir()));
   ASSERT_TRUE(pm2.recovered());
   for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(db2.CountRange("r", "a", probes[i].first, probes[i].second),
+    EXPECT_EQ(test::Count(db2, db2.Resolve("r", "a"), probes[i].first,
+                          probes[i].second),
               oracle[i])
         << "mode " << static_cast<int>(mode) << " probe " << i;
   }

@@ -57,62 +57,36 @@ TEST(Protocol, RoundtripSessionMessages) {
 }
 
 TEST(Protocol, RoundtripRangeRequests) {
-  CountRangeReq count;
-  count.session_id = 9;
-  count.table = "r";
-  count.column = "a0";
-  count.low = -5;
-  count.high = int64_t{1} << 40;
-  const CountRangeReq c = Roundtrip(count);
-  EXPECT_EQ(c.session_id, 9u);
-  EXPECT_EQ(c.table, "r");
-  EXPECT_EQ(c.column, "a0");
-  EXPECT_EQ(c.low, -5);
-  EXPECT_EQ(c.high, int64_t{1} << 40);
-
-  SumRangeReq sum;
-  sum.table = "t";
-  sum.column = "x";
-  sum.low = std::numeric_limits<int64_t>::min();
-  sum.high = std::numeric_limits<int64_t>::max();
-  const SumRangeReq s = Roundtrip(sum);
-  EXPECT_EQ(s.low, std::numeric_limits<int64_t>::min());
-  EXPECT_EQ(s.high, std::numeric_limits<int64_t>::max());
-
-  SelectRowIdsReq sel;
-  sel.table = "r";
-  sel.column = "a1";
-  sel.low = 1;
-  sel.high = 2;
-  EXPECT_EQ(Roundtrip(sel).column, "a1");
-
-  ProjectSumReq psum;
-  psum.session_id = 3;
-  psum.table = "r";
-  psum.where_column = "w";
-  psum.project_column = "p";
-  psum.low = 10;
-  psum.high = 20;
-  const ProjectSumReq p = Roundtrip(psum);
-  EXPECT_EQ(p.where_column, "w");
-  EXPECT_EQ(p.project_column, "p");
+  // The one-predicate query shapes (count, sum, rowids, project-sum) are
+  // single-predicate ExecuteQuery frames; extreme int64 bounds survive.
+  for (uint8_t kind = 0; kind <= 3; ++kind) {
+    ExecuteQueryReq req;
+    req.session_id = 9;
+    req.table = "r";
+    req.predicates = {{"a0", std::numeric_limits<int64_t>::min(),
+                       std::numeric_limits<int64_t>::max()}};
+    req.results = {{kind, kind % 2 == 1 ? "p" : ""}};
+    const ExecuteQueryReq out = Roundtrip(req);
+    EXPECT_EQ(out.session_id, 9u);
+    EXPECT_EQ(out.table, "r");
+    ASSERT_EQ(out.predicates.size(), 1u);
+    EXPECT_EQ(out.predicates[0].column, "a0");
+    EXPECT_EQ(out.predicates[0].low, std::numeric_limits<int64_t>::min());
+    EXPECT_EQ(out.predicates[0].high, std::numeric_limits<int64_t>::max());
+    ASSERT_EQ(out.results.size(), 1u);
+    EXPECT_EQ(out.results[0].kind, kind);
+    EXPECT_EQ(out.results[0].column, kind % 2 == 1 ? "p" : "");
+  }
 }
 
 TEST(Protocol, RoundtripResults) {
-  CountResult count;
-  count.count = 12345;
-  EXPECT_EQ(Roundtrip(count).count, 12345u);
-  SumResult sum;
-  sum.sum = -99;
-  EXPECT_EQ(Roundtrip(sum).sum, -99);
-  ProjectSumResult psum;
-  psum.sum = int64_t{1} << 50;
-  EXPECT_EQ(Roundtrip(psum).sum, int64_t{1} << 50);
-  RowIdsResult rows;
+  ExecuteQueryResult count;
+  count.values = {KeyScalar::I64(12345)};
+  EXPECT_EQ(Roundtrip(count).values[0], 12345);
+  ExecuteQueryResult rows;
+  rows.values = {KeyScalar::I64(4)};
   rows.rowids = {1, 2, 3, 0xFFFFFFFFFFFFull};
   EXPECT_EQ(Roundtrip(rows).rowids, rows.rowids);
-  RowIdsResult empty;
-  EXPECT_TRUE(Roundtrip(empty).rowids.empty());
   InsertResult ins;
   ins.rowid = 77;
   EXPECT_EQ(Roundtrip(ins).rowid, 77u);
@@ -145,39 +119,34 @@ TEST(Protocol, RoundtripUpdatesAndError) {
 // --- Typed scalar frames (protocol v2) -----------------------------------
 
 TEST(Protocol, RoundtripTypedScalars) {
-  // f64 bounds survive bit-exactly, including the special keys.
-  SumRangeReq sum;
-  sum.session_id = 4;
-  sum.table = "r";
-  sum.column = "price";
-  sum.low = KeyScalar::F64(0.25);
-  sum.high = KeyScalar::F64(std::numeric_limits<double>::quiet_NaN());
-  const SumRangeReq s = Roundtrip(sum);
-  EXPECT_TRUE(s.low == KeyScalar::F64(0.25));
-  EXPECT_TRUE(s.high.is_f64());
-  EXPECT_TRUE(std::isnan(s.high.d));
-
-  // Mixed carriers stay independent on the wire.
-  CountRangeReq mixed;
-  mixed.table = "r";
-  mixed.column = "price";
-  mixed.low = KeyScalar::I64(-7);
-  mixed.high = KeyScalar::F64(1e18);
-  const CountRangeReq m = Roundtrip(mixed);
-  EXPECT_FALSE(m.low.is_f64());
-  EXPECT_EQ(m.low.i, -7);
-  EXPECT_TRUE(m.high == KeyScalar::F64(1e18));
+  // f64 bounds survive bit-exactly, including the special keys, and mixed
+  // carriers stay independent on the wire.
+  ExecuteQueryReq req;
+  req.session_id = 4;
+  req.table = "r";
+  req.predicates = {
+      {"price", KeyScalar::F64(0.25),
+       KeyScalar::F64(std::numeric_limits<double>::quiet_NaN())},
+      {"price", KeyScalar::I64(-7), KeyScalar::F64(1e18)}};
+  req.results = {{1, "price"}};
+  const ExecuteQueryReq q = Roundtrip(req);
+  EXPECT_TRUE(q.predicates[0].low == KeyScalar::F64(0.25));
+  EXPECT_TRUE(q.predicates[0].high.is_f64());
+  EXPECT_TRUE(std::isnan(q.predicates[0].high.d));
+  EXPECT_FALSE(q.predicates[1].low.is_f64());
+  EXPECT_EQ(q.predicates[1].low.i, -7);
+  EXPECT_TRUE(q.predicates[1].high == KeyScalar::F64(1e18));
 
   // f64 sum results: -0.0 and +inf keep their exact bit patterns.
-  SumResult r;
-  r.sum = KeyScalar::F64(-0.0);
-  EXPECT_TRUE(Roundtrip(r).sum == KeyScalar::F64(-0.0));
-  r.sum = KeyScalar::F64(std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(Roundtrip(r).sum ==
+  ExecuteQueryResult r;
+  r.values = {KeyScalar::F64(-0.0),
+              KeyScalar::F64(std::numeric_limits<double>::infinity()),
+              KeyScalar::F64(1234.5625)};
+  const ExecuteQueryResult rt = Roundtrip(r);
+  EXPECT_TRUE(rt.values[0] == KeyScalar::F64(-0.0));
+  EXPECT_TRUE(rt.values[1] ==
               KeyScalar::F64(std::numeric_limits<double>::infinity()));
-  ProjectSumResult pr;
-  pr.sum = KeyScalar::F64(1234.5625);
-  EXPECT_TRUE(Roundtrip(pr).sum == KeyScalar::F64(1234.5625));
+  EXPECT_TRUE(rt.values[2] == KeyScalar::F64(1234.5625));
 
   // f64 update values.
   InsertReq ins;
@@ -195,15 +164,14 @@ TEST(Protocol, RoundtripTypedScalars) {
 }
 
 TEST(Protocol, ScalarKindTagBeyondOneRejected) {
-  CountRangeReq req;
+  InsertReq req;
   req.session_id = 1;
   req.table = "r";
   req.column = "a";
-  req.low = 1;
-  req.high = 2;
+  req.value = 1;
   std::vector<uint8_t> bytes = EncodeMessage(1, req);
-  // Payload layout: u64 session, u16+1 "r", u16+1 "a", then low's kind
-  // tag byte.
+  // Payload layout: u64 session, u16+1 "r", u16+1 "a", then the value's
+  // kind tag byte.
   const size_t tag_off = kFrameHeaderBytes + 8 + (2 + 1) + (2 + 1);
   ASSERT_EQ(bytes[tag_off], 0u);  // i64 kind
   bytes[tag_off] = 2;             // unknown scalar kind
@@ -212,7 +180,7 @@ TEST(Protocol, ScalarKindTagBeyondOneRejected) {
   std::string error;
   ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), &f, &consumed, &error),
             DecodeStatus::kFrame);  // framing itself is intact
-  CountRangeReq out;
+  InsertReq out;
   EXPECT_FALSE(DecodeMessage(f, &out));  // the scalar decoder rejects it
 }
 
@@ -220,20 +188,22 @@ TEST(Protocol, TruncatedScalarPayloadRejected) {
   // A frame whose payload ends mid-scalar (kind tag present, payload
   // bytes short) must reject, not read past the end.
   WireWriter w;
+  w.U8(1);          // one value
   w.U8(1);          // f64 kind
   w.U32(0xDEAD);    // only 4 of the 8 payload bytes
   Frame f;
-  f.type = MsgType::kSumResult;
+  f.type = MsgType::kExecuteQueryResult;
   f.request_id = 1;
   f.payload = w.Take();
-  SumResult out;
+  ExecuteQueryResult out;
   EXPECT_FALSE(DecodeMessage(f, &out));
 }
 
 TEST(Protocol, TruncatedFramesNeedMore) {
-  CountRangeReq req;
+  ExecuteQueryReq req;
   req.table = "r";
-  req.column = "a";
+  req.predicates = {{"a", KeyScalar::I64(1), KeyScalar::I64(2)}};
+  req.results = {{0, ""}};
   const std::vector<uint8_t> bytes = EncodeMessage(1, req);
   // Every strict prefix is kNeedMore, never kMalformed and never a frame.
   for (size_t n = 0; n < bytes.size(); ++n) {
@@ -252,7 +222,7 @@ TEST(Protocol, OversizedPayloadLengthRejectedBeforeAllocation) {
   // immediately, even though no payload bytes follow.
   WireWriter w;
   w.U32(static_cast<uint32_t>(kMaxPayloadBytes + 1));
-  w.U8(static_cast<uint8_t>(MsgType::kCountRange));
+  w.U8(static_cast<uint8_t>(MsgType::kExecuteQuery));
   w.U64(1);
   Frame f;
   size_t consumed = 0;
@@ -284,9 +254,34 @@ TEST(Protocol, UnknownMessageTypeRejected) {
             DecodeStatus::kMalformed);
 }
 
+TEST(Protocol, RetiredMessageTypesRejected) {
+  // Types 7-14 carried the per-primitive query frames of protocol v2-v4.
+  // They are a gap in the v5 numbering, rejected from the header alone
+  // like any unknown type: the header claims a payload that never arrives,
+  // so a decoder that waited for it would report kNeedMore instead.
+  for (uint8_t type = 7; type <= 14; ++type) {
+    WireWriter w;
+    w.U32(64);
+    w.U8(type);
+    w.U64(1);
+    Frame f;
+    size_t consumed = 0;
+    std::string error;
+    EXPECT_EQ(TryDecodeFrame(w.bytes().data(), w.bytes().size(), &f,
+                             &consumed, &error),
+              DecodeStatus::kMalformed)
+        << "type " << static_cast<int>(type);
+    EXPECT_NE(error.find("unknown message type"), std::string::npos) << error;
+    EXPECT_EQ(consumed, 0u);
+  }
+  EXPECT_EQ(kFirstRetiredMsgType, 7);
+  EXPECT_EQ(kLastRetiredMsgType, 14);
+  EXPECT_EQ(kProtocolVersion, 5);
+}
+
 TEST(Protocol, TrailingGarbageRejectsMessage) {
-  CountResult res;
-  res.count = 5;
+  InsertResult res;
+  res.rowid = 5;
   std::vector<uint8_t> bytes = EncodeMessage(1, res);
   bytes.push_back(0xAB);             // extra payload byte...
   bytes[0] += 1;                     // ...declared in the length prefix
@@ -295,30 +290,8 @@ TEST(Protocol, TrailingGarbageRejectsMessage) {
   std::string error;
   ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), &f, &consumed, &error),
             DecodeStatus::kFrame);
-  CountResult out;
+  InsertResult out;
   EXPECT_FALSE(DecodeMessage(f, &out));  // payload must parse exactly
-}
-
-TEST(Protocol, LyingRowIdCountRejectedBeforeAllocation) {
-  // A RowIdsResult whose element count promises far more rowids than the
-  // payload holds must fail validation without reserving anything.
-  WireWriter payload;
-  payload.U32(100000000);  // claims 1e8 rowids
-  payload.U64(1);          // ...but carries one
-  WireWriter frame;
-  frame.U32(static_cast<uint32_t>(payload.bytes().size()));
-  frame.U8(static_cast<uint8_t>(MsgType::kRowIdsResult));
-  frame.U64(9);
-  std::vector<uint8_t> bytes = frame.Take();
-  bytes.insert(bytes.end(), payload.bytes().begin(), payload.bytes().end());
-  Frame f;
-  size_t consumed = 0;
-  std::string error;
-  ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), &f, &consumed, &error),
-            DecodeStatus::kFrame);
-  RowIdsResult out;
-  EXPECT_FALSE(DecodeMessage(f, &out));
-  EXPECT_TRUE(out.rowids.empty());
 }
 
 TEST(Protocol, OverlongStringRejected) {
@@ -333,7 +306,7 @@ TEST(Protocol, OverlongStringRejected) {
   payload.U16(static_cast<uint16_t>(kMaxStringBytes + 1));  // lying prefix
   WireWriter frame;
   frame.U32(static_cast<uint32_t>(payload.bytes().size()));
-  frame.U8(static_cast<uint8_t>(MsgType::kCountRange));
+  frame.U8(static_cast<uint8_t>(MsgType::kInsert));
   frame.U64(1);
   std::vector<uint8_t> bytes = frame.Take();
   bytes.insert(bytes.end(), payload.bytes().begin(), payload.bytes().end());
@@ -342,15 +315,15 @@ TEST(Protocol, OverlongStringRejected) {
   std::string error;
   ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), &f, &consumed, &error),
             DecodeStatus::kFrame);
-  CountRangeReq out;
+  InsertReq out;
   EXPECT_FALSE(DecodeMessage(f, &out));
 }
 
 TEST(Protocol, MultipleFramesDecodeSequentially) {
-  CountResult a;
-  a.count = 1;
-  SumResult b;
-  b.sum = 2;
+  InsertResult a;
+  a.rowid = 1;
+  DeleteResult b;
+  b.found = true;
   std::vector<uint8_t> bytes = EncodeMessage(10, a);
   const std::vector<uint8_t> second = EncodeMessage(11, b);
   bytes.insert(bytes.end(), second.begin(), second.end());
@@ -491,8 +464,9 @@ TEST(Protocol, ExecuteQueryBadKindsRejected) {
 }
 
 TEST(Protocol, ExecuteQueryResultLyingRowIdCountRejected) {
-  // Same bounded validation as RowIdsResult: the claimed rowid count must
-  // match the bytes actually present before anything is reserved.
+  // A result whose rowid count promises far more rowids than the payload
+  // holds must fail validation without reserving anything: the claimed
+  // count must match the bytes actually present.
   WireWriter payload;
   payload.U8(1);                      // one value
   payload.Scalar(KeyScalar::I64(1));  // the value

@@ -4,8 +4,9 @@
 /// empty conjunctions / empty result lists / column-less sums,
 /// predicate-order independence of every result (double sums bit-exact),
 /// per-predicate index refinement under repetition, concurrent
-/// multi-predicate queries racing inserts, and the name-based F64
-/// convenience overloads (SelectRowIdsF64 / ProjectSumF64).
+/// multi-predicate queries racing inserts, and the scalar-bound semantics
+/// of the one-predicate path (clamping, special keys, closed-bound
+/// degradation, name resolution, async submission) in every mode.
 
 #include <gtest/gtest.h>
 
@@ -385,8 +386,7 @@ TEST(QuerySpec, ConcurrentMultiPredicateQueriesWithInserts) {
       Session s = db.OpenSession();
       Rng rng(200 + t);
       for (int i = 0; i < 200; ++i) {
-        s.Insert(t == 0 ? ha : hb,
-                 static_cast<int64_t>(rng.Below(kDomain)));
+        s.Insert(t == 0 ? ha : hb, static_cast<int64_t>(rng.Below(kDomain)));
       }
     });
   }
@@ -428,8 +428,8 @@ TEST(QuerySpec, MaterializedPathIncludesAppendedRowsConsistently) {
   const RowId inserted = db.Insert(ha, 500);
   EXPECT_GE(inserted, a.size());
   // Legacy shape: the merged pending insert is counted and summed.
-  EXPECT_EQ(db.CountRange(ha, 0, 1000), base_count + 1);
-  EXPECT_EQ(db.SumRange(ha, 0, 1000), base_sum + 500);
+  EXPECT_EQ(test::Count(db, ha, 0, 1000), base_count + 1);
+  EXPECT_EQ(test::Sum(db, ha, 0, 1000).i, base_sum + 500);
 
   // Materialized shape: same qualifying set, internally consistent.
   QuerySpec spec;
@@ -550,10 +550,10 @@ TEST(QuerySpec, ProjectSumAfterInsertStaysInBounds) {
     if (a[i] >= 0 && a[i] < 900000) expect += b[i];
   }
   for (int i = 0; i < 64; ++i) db.Insert(ha, 100 + i);
-  EXPECT_EQ(db.ProjectSum(ha, hb, 0, 900000), expect);
+  EXPECT_EQ(test::ProjectSum(db, ha, hb, 0, 900000).i, expect);
   // Run twice: the first call Ripple-merged the pending rows into the
   // index, so the second exercises the persistent registry path.
-  EXPECT_EQ(db.ProjectSum(ha, hb, 0, 900000), expect);
+  EXPECT_EQ(test::ProjectSum(db, ha, hb, 0, 900000).i, expect);
 }
 
 TEST(QuerySpec, AsyncSubmitExecute) {
@@ -572,32 +572,104 @@ TEST(QuerySpec, AsyncSubmitExecute) {
   EXPECT_EQ(fut.get().values[0].i, sync.values[0].i);
 }
 
-TEST(QuerySpec, NameBasedF64ConvenienceOverloads) {
-  const auto d1 = UniformDoubles(8000, 62);
-  const auto d2 = UniformDoubles(8000, 63);
-  Database db(ModeOptions(ExecMode::kAdaptive));
-  db.LoadColumn<double>("t", "d1", d1);
-  db.LoadColumn<double>("t", "d2", d2);
-  const ColumnHandle h1 = db.Resolve("t", "d1");
-  const ColumnHandle h2 = db.Resolve("t", "d2");
-
-  // The name-based forms must agree with the handle-based core.
-  const double lo = 250.25, hi = 100000.5;
-  PositionList by_name = db.SelectRowIdsF64("t", "d1", lo, hi);
-  PositionList by_handle = db.SelectRowIdsF64(h1, lo, hi);
-  std::sort(by_name.begin(), by_name.end());
-  std::sort(by_handle.begin(), by_handle.end());
-  EXPECT_EQ(by_name, by_handle);
-  EXPECT_FALSE(by_name.empty());
-
-  const double ps_name = db.ProjectSumF64("t", "d1", "d2", lo, hi);
-  const double ps_handle = db.ProjectSumF64(h1, h2, lo, hi);
-  EXPECT_DOUBLE_EQ(ps_name, ps_handle);
-  double oracle = 0;
-  for (size_t i = 0; i < d1.size(); ++i) {
-    if (d1[i] >= lo && d1[i] < hi) oracle += d2[i];
+/// The scalar-bound semantics every caller relies on, through Execute's
+/// one-predicate path in all seven modes: int64 bounds clamp into int32
+/// and double columns, double bounds into integer columns, NaN / ±inf /
+/// -0.0 bounds follow the double total order, an exclusive high above a
+/// type's maximum degrades to the closed bound, names resolve through
+/// Resolve and Session::Handle, and async submission answers like a
+/// synchronous call. The special values are part of the loaded base data
+/// (inserts are cracking-only).
+TEST(QuerySpec, ScalarBoundSemanticsInEveryMode) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kTwo63 = 9223372036854775808.0;  // above every int64
+  constexpr int32_t kMax32 = std::numeric_limits<int32_t>::max();
+  constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+  const size_t n = 6000;
+  std::vector<int32_t> a32(n);
+  {
+    Rng rng(70);
+    for (auto& x : a32) x = static_cast<int32_t>(rng.Below(kDomain));
   }
-  EXPECT_DOUBLE_EQ(ps_name, oracle);
+  a32[0] = a32[1] = kMax32;
+  auto a64 = MakeUniform(n, kDomain, 71);
+  a64[2] = kMax64;
+  auto d = UniformDoubles(n, 72);
+  d[0] = kNaN;
+  d[1] = kInf;
+  d[2] = -kInf;
+  d[3] = -0.0;
+  d[4] = 0.0;
+  auto count_if = [](const auto& v, auto pred) {
+    return static_cast<size_t>(std::count_if(v.begin(), v.end(), pred));
+  };
+
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ExecModeName(mode));
+    Database db(ModeOptions(mode));
+    db.LoadColumn<int32_t>("t", "a32", a32);
+    db.LoadColumn("t", "a64", a64);
+    db.LoadColumn<double>("t", "d", d);
+    const ColumnHandle h32 = db.Resolve("t", "a32");
+    const ColumnHandle h64 = db.Resolve("t", "a64");
+    const ColumnHandle hd = db.Resolve("t", "d");
+
+    // int64 bounds clamp into the int32 domain; [max, max + 1) is the
+    // closed unit range at INT32_MAX.
+    EXPECT_EQ(test::Count(db, h32, -(int64_t{1} << 40), int64_t{1} << 40),
+              n);
+    EXPECT_EQ(test::Count(db, h32, kMax32, int64_t{kMax32} + 1), 2u);
+    EXPECT_EQ(test::Sum(db, h32, kMax32, int64_t{kMax32} + 1).i,
+              2 * int64_t{kMax32});
+    EXPECT_EQ(test::Count(db, h32, 1000, 500000),
+              count_if(a32, [](int32_t x) { return x >= 1000 && x < 500000; }));
+
+    // int64 bounds clamp into the double order: [INT64_MIN, INT64_MAX)
+    // holds every finite row, but neither -inf, +inf nor NaN.
+    EXPECT_EQ(test::Count(db, hd, 100, 90000),
+              count_if(d, [](double x) { return x >= 100 && x < 90000; }));
+    EXPECT_EQ(test::Count(db, hd, std::numeric_limits<int64_t>::min(),
+                          kMax64),
+              n - 3);
+
+    // Double bounds on integer columns: fractional bounds tighten inward,
+    // a high above the integer range degrades to the closed bound.
+    EXPECT_EQ(test::Count(db, h64, 100.5, 200.5),
+              count_if(a64, [](int64_t x) { return x >= 101 && x < 201; }));
+    EXPECT_EQ(test::Count(db, h64, -kInf, kNaN), n);
+    EXPECT_EQ(test::Count(db, h64, kNaN, kNaN), 0u);
+    EXPECT_EQ(test::Count(db, h64, 0.0, kInf), n);
+    EXPECT_EQ(test::Count(db, h64, kMax64, kTwo63), 1u);
+    EXPECT_EQ(test::RowIds(db, h64, kMax64, kTwo63), PositionList{2});
+
+    // NaN, ±inf and -0.0 bounds on the double column.
+    EXPECT_EQ(test::Count(db, hd, kNaN, kNaN), 1u);
+    EXPECT_EQ(test::Count(db, hd, kInf, kNaN), 2u);
+    EXPECT_EQ(test::Count(db, hd, -kInf, kInf), n - 2);
+    EXPECT_EQ(test::Count(db, hd, -kInf, -0.0), 1u);  // only -inf
+    EXPECT_EQ(test::Count(db, hd, -0.0, 0.5),
+              count_if(d, [](double x) { return x >= 0.0 && x < 0.5; }));
+    EXPECT_TRUE(std::isnan(test::Sum(db, hd, kInf, kNaN).d));
+
+    // Names resolve to the same attribute through either path.
+    Session s = db.OpenSession();
+    EXPECT_EQ(test::Count(s, s.Handle("t", "a64"), 100, 90000),
+              test::Count(db, h64, 100, 90000));
+    EXPECT_EQ(test::Count(db, db.Resolve("t", "d"), 0.25, 1e5),
+              test::Count(s, s.Handle("t", "d"), 0.25, 1e5));
+
+    // Async submission answers exactly like the synchronous call.
+    auto fut = s.SubmitExecute(
+        QuerySpec().Where(h32, kMax32, int64_t{kMax32} + 1).RowIds());
+    const PositionList sync =
+        test::RowIds(s, h32, kMax32, int64_t{kMax32} + 1);
+    PositionList async = fut.get().rowids;
+    std::sort(async.begin(), async.end());
+    EXPECT_EQ(async, (PositionList{0, 1}));
+    EXPECT_TRUE(std::is_permutation(sync.begin(), sync.end(), async.begin(),
+                                    async.end()));
+  }
 }
 
 }  // namespace

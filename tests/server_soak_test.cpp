@@ -123,7 +123,7 @@ TEST(ServerSoak, ThousandConnectionsChurnRstAndRacesWithoutLeaks) {
   // engine's pools legitimately persist.
   {
     Session warm = db.OpenSession();
-    (void)warm.CountRange("r", "a", 0, kDomain);
+    (void)test::Count(warm, warm.Handle("r", "a"), 0, kDomain);
   }
   {
     HolixServer warm_srv(db);
@@ -131,7 +131,7 @@ TEST(ServerSoak, ThousandConnectionsChurnRstAndRacesWithoutLeaks) {
     HolixClient warm_cli;
     warm_cli.Connect("127.0.0.1", warm_srv.port());
     const uint64_t sid = warm_cli.OpenSession();
-    (void)warm_cli.CountRange(sid, "r", "a", 0, kDomain);
+    (void)test::WireCount(warm_cli, sid, "r", "a", 0, kDomain);
     warm_cli.Close();
     warm_srv.Stop();
   }
@@ -165,8 +165,8 @@ TEST(ServerSoak, ThousandConnectionsChurnRstAndRacesWithoutLeaks) {
           for (size_t i = 0; i < clients.size(); ++i) {
             const int64_t q = static_cast<int64_t>((lo + i) % 97) *
                               (kDomain / 97);
-            local += clients[i].CountRange(sids[i], "r", "a", q,
-                                           q + kDomain / 8);
+            local += test::WireCount(clients[i], sids[i], "r", "a", q,
+                                     q + kDomain / 8);
           }
         } catch (const std::exception&) {
           failures.fetch_add(1);
@@ -179,10 +179,11 @@ TEST(ServerSoak, ThousandConnectionsChurnRstAndRacesWithoutLeaks) {
 
     // Oracle from one in-process session.
     Session oracle = db.OpenSession();
+    const ColumnHandle h = oracle.Handle("r", "a");
     uint64_t expect = 0;
     for (size_t i = 0; i < kConns; ++i) {
       const int64_t q = static_cast<int64_t>(i % 97) * (kDomain / 97);
-      expect += oracle.CountRange("r", "a", q, q + kDomain / 8);
+      expect += test::Count(oracle, h, q, q + kDomain / 8);
     }
     EXPECT_EQ(checksum.load(), expect);
     EXPECT_GE(server.TotalConnections(), kConns);
@@ -190,14 +191,13 @@ TEST(ServerSoak, ThousandConnectionsChurnRstAndRacesWithoutLeaks) {
 
   // --- Phase 2: connect/close churn with abrupt RSTs --------------------
   // Rapid short-lived connections; every 5th dies by RST halfway through
-  // a frame (half a valid CountRange header+payload on the wire).
+  // a frame (half a valid ExecuteQuery header+payload on the wire).
   {
-    CountRangeReq half;
+    ExecuteQueryReq half;
     half.session_id = 1;
     half.table = "r";
-    half.column = "a";
-    half.low = KeyScalar::I64(0);
-    half.high = KeyScalar::I64(kDomain);
+    half.predicates = {{"a", KeyScalar::I64(0), KeyScalar::I64(kDomain)}};
+    half.results = {{0, ""}};
     const std::vector<uint8_t> hello_frame = EncodeMessage(1, Hello{});
     const std::vector<uint8_t> half_frame = EncodeMessage(2, half);
 
@@ -222,7 +222,7 @@ TEST(ServerSoak, ThousandConnectionsChurnRstAndRacesWithoutLeaks) {
             HolixClient c;
             c.Connect("127.0.0.1", port);
             const uint64_t sid = c.OpenSession();
-            (void)c.CountRange(sid, "r", "a", 0, kDomain / 4);
+            (void)test::WireCount(c, sid, "r", "a", 0, kDomain / 4);
           } catch (const std::exception&) {
             failures.fetch_add(1);
           }
@@ -266,10 +266,10 @@ TEST(ServerSoak, ThousandConnectionsChurnRstAndRacesWithoutLeaks) {
           const uint64_t sid = c.OpenSession();
           std::vector<uint64_t> ids;
           for (int i = 0; i < 40; ++i) {
-            ids.push_back(c.SendCountRange(sid, "r", "a", 0, kDomain));
+            ids.push_back(test::SendWireCount(c, sid, "r", "a", 0, kDomain));
           }
           for (uint64_t id : ids) {
-            const uint64_t n = c.AwaitCount(id);
+            const uint64_t n = test::AwaitWireCount(c, id);
             if (n < base_count || n > max_count) failures.fetch_add(1);
           }
         } catch (const std::exception&) {
@@ -281,7 +281,8 @@ TEST(ServerSoak, ThousandConnectionsChurnRstAndRacesWithoutLeaks) {
     EXPECT_EQ(failures.load(), 0u);
 
     Session oracle = db.OpenSession();
-    EXPECT_EQ(oracle.CountRange("r", "a", 0, kDomain), max_count);
+    EXPECT_EQ(test::Count(oracle, oracle.Handle("r", "a"), 0, kDomain),
+              max_count);
   }
 
   server.Stop();

@@ -136,15 +136,16 @@ TEST(Server, SyncQueriesMatchInProcessSession) {
   for (int i = 0; i < 32; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
-    ASSERT_EQ(client.CountRange(sid, "r", "a", lo, hi),
-              inproc.CountRange("r", "a", lo, hi))
+    ASSERT_EQ(test::WireCount(client, sid, "r", "a", lo, hi),
+              test::Count(inproc, inproc.Handle("r", "a"), lo, hi))
         << "query " << i;
   }
-  EXPECT_EQ(client.SumRange(sid, "r", "a", 100, 90000),
-            inproc.SumRange("r", "a", 100, 90000));
-  const auto rowids = client.SelectRowIds(sid, "r", "a", 100, 9000);
-  EXPECT_EQ(rowids.size(), inproc.SelectRowIds(
-                               inproc.Handle("r", "a"), 100, 9000).size());
+  EXPECT_EQ(test::WireSum(client, sid, "r", "a", 100, 90000).i,
+            test::Sum(inproc, inproc.Handle("r", "a"), 100, 90000).i);
+  const auto rowids =
+      test::WireQuery(client, sid, "r", "a", 100, 9000, /*rowids*/ 2).rowids;
+  EXPECT_EQ(rowids.size(),
+            test::RowIds(inproc, inproc.Handle("r", "a"), 100, 9000).size());
   client.CloseSession(sid);
   client.Close();
   server.Stop();
@@ -166,16 +167,19 @@ TEST(Server, ProjectSumAndUpdatesOverTheWire) {
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i] >= 100 && a[i] < 90000) naive += b[i];
   }
-  EXPECT_EQ(client.ProjectSum(sid, "r", "a", "b", 100, 90000), naive);
+  // Result kind 3: project-sum of b over the select on a.
+  EXPECT_EQ(
+      test::WireQuery(client, sid, "r", "a", 100, 90000, 3, "b").values[0].i,
+      naive);
 
   // Insert outside the base domain, read it back, delete it.
   const int64_t band = int64_t{1} << 21;
-  EXPECT_EQ(client.CountRange(sid, "r", "a", band, band + 10), 0u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", band, band + 10), 0u);
   client.Insert(sid, "r", "a", band + 5);
-  EXPECT_EQ(client.CountRange(sid, "r", "a", band, band + 10), 1u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", band, band + 10), 1u);
   EXPECT_TRUE(client.Delete(sid, "r", "a", band + 5));
   EXPECT_FALSE(client.Delete(sid, "r", "a", band + 5));
-  EXPECT_EQ(client.CountRange(sid, "r", "a", band, band + 10), 0u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", band, band + 10), 0u);
   server.Stop();
 }
 
@@ -200,30 +204,31 @@ TEST(Server, DoubleColumnTypedScalarsOverTheWire) {
   for (int i = 0; i < 16; ++i) {
     const double lo = static_cast<double>(rng.Below(kDomain)) + 0.25;
     const double hi = lo + 1.0 + static_cast<double>(rng.Below(kDomain / 4));
-    ASSERT_EQ(client.CountRangeF64(sid, "r", "price", lo, hi),
-              inproc.CountRangeF64("r", "price", lo, hi))
+    ASSERT_EQ(test::WireCount(client, sid, "r", "price", lo, hi),
+              test::Count(inproc, inproc.Handle("r", "price"), lo, hi))
         << "query " << i;
   }
   // The sum travels as an f64 scalar and matches in-process bit-for-bit
   // (same engine, same physical order).
-  const KeyScalar wire_sum = client.SumRangeScalar(
-      sid, "r", "price", KeyScalar::F64(100.5), KeyScalar::F64(90000.5));
+  const KeyScalar wire_sum =
+      test::WireSum(client, sid, "r", "price", 100.5, 90000.5);
   ASSERT_TRUE(wire_sum.is_f64());
-  EXPECT_EQ(wire_sum.d, inproc.SumRangeF64("r", "price", 100.5, 90000.5));
+  EXPECT_EQ(wire_sum.d,
+            test::Sum(inproc, inproc.Handle("r", "price"), 100.5, 90000.5).d);
 
   // Special keys over the wire: insert NaN and +inf, count them through
   // the closed upgrade at the NaN key, then delete them.
-  client.InsertF64(sid, "r", "price", nan);
-  client.InsertF64(sid, "r", "price", kInf);
-  EXPECT_EQ(client.CountRangeF64(sid, "r", "price", kInf, nan), 2u);
-  EXPECT_EQ(client.CountRangeF64(sid, "r", "price", nan, nan), 1u);
-  EXPECT_TRUE(client.DeleteF64(sid, "r", "price", nan));
-  EXPECT_TRUE(client.DeleteF64(sid, "r", "price", kInf));
-  EXPECT_EQ(client.CountRangeF64(sid, "r", "price", kInf, nan), 0u);
+  client.Insert(sid, "r", "price", nan);
+  client.Insert(sid, "r", "price", kInf);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "price", kInf, nan), 2u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "price", nan, nan), 1u);
+  EXPECT_TRUE(client.Delete(sid, "r", "price", nan));
+  EXPECT_TRUE(client.Delete(sid, "r", "price", kInf));
+  EXPECT_EQ(test::WireCount(client, sid, "r", "price", kInf, nan), 0u);
 
   // int64 bounds against the double column clamp exactly too.
-  EXPECT_EQ(client.CountRange(sid, "r", "price", 100, 90000),
-            inproc.CountRange("r", "price", 100, 90000));
+  EXPECT_EQ(test::WireCount(client, sid, "r", "price", 100, 90000),
+            test::Count(inproc, inproc.Handle("r", "price"), 100, 90000));
   server.Stop();
 }
 
@@ -233,16 +238,22 @@ TEST(Server, VersionMismatchRejectedWithErrorFrame) {
   HolixServer server(db);
   server.Start();
 
-  RawConn raw(server.port());
-  Hello hello;
-  hello.version = kProtocolVersion + 1;
-  raw.Send(EncodeMessage(1, hello));
-  const Frame f = raw.ReadFrame();
-  ASSERT_EQ(f.type, MsgType::kError);
-  ErrorMsg err;
-  ASSERT_TRUE(DecodeMessage(f, &err));
-  EXPECT_EQ(err.code, ErrorCode::kVersionMismatch);
-  EXPECT_TRUE(raw.WaitForClose());
+  // A newer peer, and the previous version (v4, which still spoke the
+  // retired per-primitive query frames): both are refused at Hello.
+  for (const uint16_t version :
+       {static_cast<uint16_t>(kProtocolVersion + 1),
+        static_cast<uint16_t>(kProtocolVersion - 1)}) {
+    RawConn raw(server.port());
+    Hello hello;
+    hello.version = version;
+    raw.Send(EncodeMessage(1, hello));
+    const Frame f = raw.ReadFrame();
+    ASSERT_EQ(f.type, MsgType::kError) << "version " << version;
+    ErrorMsg err;
+    ASSERT_TRUE(DecodeMessage(f, &err));
+    EXPECT_EQ(err.code, ErrorCode::kVersionMismatch) << "version " << version;
+    EXPECT_TRUE(raw.WaitForClose());
+  }
   server.Stop();
 }
 
@@ -288,12 +299,12 @@ TEST(Server, QueryErrorsKeepTheConnectionAlive) {
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
   // Unknown column -> error frame, connection stays usable.
-  EXPECT_THROW(client.CountRange(sid, "r", "nope", 0, 10),
+  EXPECT_THROW(test::WireCount(client, sid, "r", "nope", 0, 10),
                std::runtime_error);
   // Unknown session -> error frame, connection stays usable.
-  EXPECT_THROW(client.CountRange(sid + 999, "r", "a", 0, 10),
+  EXPECT_THROW(test::WireCount(client, sid + 999, "r", "a", 0, 10),
                std::runtime_error);
-  EXPECT_EQ(client.CountRange(sid, "r", "a", 0, kDomain), 10000u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", 0, kDomain), 10000u);
   server.Stop();
 }
 
@@ -312,7 +323,7 @@ TEST(Server, SessionCapRejectsExcessOpens) {
   // Closing one frees a slot; the connection stays healthy throughout.
   client.CloseSession(s1);
   const uint64_t s3 = client.OpenSession();
-  EXPECT_EQ(client.CountRange(s3, "r", "a", 0, kDomain), 1000u);
+  EXPECT_EQ(test::WireCount(client, s3, "r", "a", 0, kDomain), 1000u);
   server.Stop();
 }
 
@@ -334,12 +345,13 @@ TEST(Server, PipelinedRequestsCompleteOutOfOrderById) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
     ranges.emplace_back(lo, hi);
-    ids.push_back(client.SendCountRange(sid, "r", "a", lo, hi));
+    ids.push_back(test::SendWireCount(client, sid, "r", "a", lo, hi));
   }
   // Await in reverse order: responses must match by id, not arrival.
   for (size_t i = ids.size(); i-- > 0;) {
-    EXPECT_EQ(client.AwaitCount(ids[i]),
-              inproc.CountRange("r", "a", ranges[i].first, ranges[i].second))
+    EXPECT_EQ(test::AwaitWireCount(client, ids[i]),
+              test::Count(inproc, inproc.Handle("r", "a"), ranges[i].first,
+                          ranges[i].second))
         << "request " << i;
   }
   EXPECT_EQ(client.StashedResponses(), 0u);
@@ -482,7 +494,7 @@ TEST(Server, ConcurrentClientsMixedReadsAndInsertsChecksumMatch) {
         const int64_t hi =
             lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 8));
         // Base-domain reads are unaffected by the out-of-band inserts.
-        if (client.CountRange(sid, "r", "a", lo, hi) !=
+        if (test::WireCount(client, sid, "r", "a", lo, hi) !=
             test::NaiveCount(data, lo, hi)) {
           failures.fetch_add(1);
         }
@@ -500,10 +512,11 @@ TEST(Server, ConcurrentClientsMixedReadsAndInsertsChecksumMatch) {
   Session inproc = db.OpenSession();
   for (int c = 0; c < kClients; ++c) {
     const int64_t lo = kBandBase + c * 1000;
-    EXPECT_EQ(verify.CountRange(vsid, "r", "a", lo, lo + kOpsPerClient),
+    EXPECT_EQ(test::WireCount(verify, vsid, "r", "a", lo, lo + kOpsPerClient),
               static_cast<size_t>(kOpsPerClient))
         << "client " << c;
-    EXPECT_EQ(inproc.CountRange("r", "a", lo, lo + kOpsPerClient),
+    EXPECT_EQ(
+        test::Count(inproc, inproc.Handle("r", "a"), lo, lo + kOpsPerClient),
               static_cast<size_t>(kOpsPerClient));
   }
   EXPECT_GE(server.TotalConnections(), static_cast<uint64_t>(kClients + 1));
@@ -532,17 +545,17 @@ TEST(Server, StopDrainsInFlightPipelinedQueries) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain));
     ranges.emplace_back(lo, hi);
-    ids.push_back(client.SendCountRange(sid, "r", "a", lo, hi));
+    ids.push_back(test::SendWireCount(client, sid, "r", "a", lo, hi));
   }
   // Anchor: the first response proves the server is mid-stream before the
   // concurrent Stop() begins.
-  EXPECT_EQ(client.AwaitCount(ids[0]),
+  EXPECT_EQ(test::AwaitWireCount(client, ids[0]),
             test::NaiveCount(data, ranges[0].first, ranges[0].second));
   std::thread stopper([&] { server.Stop(); });
   size_t answered = 1;
   for (size_t i = 1; i < ids.size(); ++i) {
     try {
-      EXPECT_EQ(client.AwaitCount(ids[i]),
+      EXPECT_EQ(test::AwaitWireCount(client, ids[i]),
                 test::NaiveCount(data, ranges[i].first, ranges[i].second))
           << "request " << i;
       ++answered;
@@ -580,18 +593,17 @@ TEST(Server, OneBytePerSendReassemblesFrames) {
   OpenSessionAck open;
   ASSERT_TRUE(DecodeMessage(ack, &open));
 
-  CountRangeReq req;
+  ExecuteQueryReq req;
   req.session_id = open.session_id;
   req.table = "r";
-  req.column = "a";
-  req.low = KeyScalar::I64(0);
-  req.high = KeyScalar::I64(kDomain);
+  req.predicates = {{"a", KeyScalar::I64(0), KeyScalar::I64(kDomain)}};
+  req.results = {{0, ""}};
   dribble(EncodeMessage(3, req));
   const Frame f = raw.ReadFrame();
-  ASSERT_EQ(f.type, MsgType::kCountResult);
-  CountResult res;
+  ASSERT_EQ(f.type, MsgType::kExecuteQueryResult);
+  ExecuteQueryResult res;
   ASSERT_TRUE(DecodeMessage(f, &res));
-  EXPECT_EQ(res.count, data.size());
+  EXPECT_EQ(res.values[0], KeyScalar::I64(static_cast<int64_t>(data.size())));
   server.Stop();
 }
 
@@ -608,13 +620,12 @@ TEST(Server, ResetMidFrameLeavesServerHealthy) {
     RawConn raw(server.port());
     raw.Send(EncodeMessage(1, Hello{}));
     EXPECT_EQ(raw.ReadFrame().type, MsgType::kHelloAck);
-    // First half of a valid CountRange frame, then RST.
-    CountRangeReq req;
+    // First half of a valid ExecuteQuery frame, then RST.
+    ExecuteQueryReq req;
     req.session_id = 1;
     req.table = "r";
-    req.column = "a";
-    req.low = KeyScalar::I64(0);
-    req.high = KeyScalar::I64(kDomain);
+    req.predicates = {{"a", KeyScalar::I64(0), KeyScalar::I64(kDomain)}};
+    req.results = {{0, ""}};
     const std::vector<uint8_t> frame = EncodeMessage(2, req);
     raw.Send({frame.begin(), frame.begin() + frame.size() / 2});
     raw.Reset();
@@ -631,40 +642,7 @@ TEST(Server, ResetMidFrameLeavesServerHealthy) {
   HolixClient client;
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
-  EXPECT_EQ(client.CountRange(sid, "r", "a", 0, kDomain), data.size());
-  server.Stop();
-}
-
-/// Shared scans answer concurrent same-column counts bit-equal to the
-/// engine, and actually coalesce under pipelining.
-TEST(Server, SharedScanCoalescesConcurrentCountsBitEqual) {
-  Database db(SmallDbOptions());
-  const auto data = test::MakeUniform(100000, kDomain, 33);
-  db.LoadColumn("r", "a", data);
-  HolixServer server(db);  // shared_scans defaults on
-  server.Start();
-  HolixClient client;
-  client.Connect("127.0.0.1", server.port());
-  const uint64_t sid = client.OpenSession();
-
-  Rng rng(34);
-  std::vector<uint64_t> ids;
-  std::vector<std::pair<int64_t, int64_t>> ranges;
-  for (int i = 0; i < 64; ++i) {
-    const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
-    const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 2));
-    ranges.emplace_back(lo, hi);
-    ids.push_back(client.SendCountRange(sid, "r", "a", lo, hi));
-  }
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(client.AwaitCount(ids[i]),
-              test::NaiveCount(data, ranges[i].first, ranges[i].second))
-        << "request " << i;
-  }
-  // Every count went through the coalescer; pipelined arrivals batched.
-  EXPECT_EQ(server.SharedScanRequests(), 64u);
-  EXPECT_GE(server.SharedScanBatches(), 1u);
-  EXPECT_LE(server.SharedScanBatches(), 64u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", 0, kDomain), data.size());
   server.Stop();
 }
 
@@ -686,7 +664,7 @@ TEST(Server, GetStatsMatchesInProcessSnapshot) {
   // snapshot (each call returns only after its response frame arrived).
   uint64_t total = 0;
   for (int i = 0; i < 16; ++i) {
-    total += client.CountRange(sid, "r", "a", i * 1000, i * 1000 + 50000);
+    total += test::WireCount(client, sid, "r", "a", i * 1000, i * 1000 + 50000);
   }
   EXPECT_GT(total, 0u);
 
@@ -723,7 +701,7 @@ TEST(Server, HttpMetricsEndpointServesPrometheusText) {
   HolixClient client;
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
-  client.CountRange(sid, "r", "a", 0, kDomain / 2);
+  test::WireCount(client, sid, "r", "a", 0, kDomain / 2);
 
   auto http_get = [&](const std::string& path) {
     RawConn raw(server.metrics_port());
@@ -743,7 +721,9 @@ TEST(Server, HttpMetricsEndpointServesPrometheusText) {
   EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(resp.find("holix_queries_total"), std::string::npos);
   EXPECT_NE(resp.find("holix_scan_bytes_total"), std::string::npos);
-  EXPECT_NE(resp.find("_bucket{le="), std::string::npos);
+  // The query just served fed its mode's latency histogram.
+  EXPECT_NE(resp.find("holix_query_seconds_bucket{mode=\"adaptive\",le="),
+            std::string::npos);
   EXPECT_NE(http_get("/nope").find("HTTP/1.0 404"), std::string::npos);
 
   // Scrapes are not protocol connections or requests.

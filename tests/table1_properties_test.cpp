@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "engine/database.h"
+#include "test_support.h"
 #include "workload/workload.h"
 
 namespace holix {
@@ -26,8 +27,8 @@ TEST(Table1, OfflineMaterializesFullIndexUpFront) {
   db.PrepareOfflineIndexes();
   // Full materialization: a sorted copy of every column exists, so a point
   // query needs no reorganization and no scan.
-  const size_t c1 = db.CountRange("r", "a", 100, 200);
-  const size_t c2 = db.CountRange("r", "a", 100, 200);
+  const size_t c1 = test::Count(db, db.Resolve("r", "a"), 100, 200);
+  const size_t c2 = test::Count(db, db.Resolve("r", "a"), 100, 200);
   EXPECT_EQ(c1, c2);
   EXPECT_EQ(db.TotalIndexPieces(), 0u);  // no partial (cracked) indices
 }
@@ -37,7 +38,7 @@ TEST(Table1, AdaptiveOnlyRefinesDuringQueries) {
   opts.mode = ExecMode::kAdaptive;
   Database db(opts);
   db.LoadColumn("r", "a", GenerateUniformColumn(kRows, kDomain, 2));
-  db.CountRange("r", "a", 100, 5000);
+  test::Count(db, db.Resolve("r", "a"), 100, 5000);
   const size_t pieces_after_query = db.TotalIndexPieces();
   EXPECT_GT(pieces_after_query, 1u);  // partial index built by the query
   // "Exploitation of idle resources": none — waiting changes nothing.
@@ -53,7 +54,7 @@ TEST(Table1, HolisticRefinesDuringIdleResources) {
   opts.holistic.monitor_interval_seconds = 0.001;
   Database db(opts);
   db.LoadColumn("r", "a", GenerateUniformColumn(kRows, kDomain, 3));
-  db.CountRange("r", "a", 100, 5000);
+  test::Count(db, db.Resolve("r", "a"), 100, 5000);
   const size_t pieces_after_query = db.TotalIndexPieces();
   // Idle resources are exploited: pieces grow without further queries.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -69,7 +70,7 @@ TEST(Table1, HolisticIndexingIsPartial) {
   opts.total_cores = 2;
   Database db(opts);
   db.LoadColumn("r", "a", GenerateUniformColumn(kRows, kDomain, 4));
-  db.CountRange("r", "a", 100, 5000);
+  test::Count(db, db.Resolve("r", "a"), 100, 5000);
   EXPECT_LT(db.TotalIndexPieces(), kRows / 10);
 }
 
@@ -80,8 +81,8 @@ TEST(Table1, HolisticKeepsStatisticsAboutWorkload) {
   opts.total_cores = 2;
   Database db(opts);
   db.LoadColumn("r", "a", GenerateUniformColumn(kRows, kDomain, 5));
-  db.CountRange("r", "a", 100, 5000);
-  db.CountRange("r", "a", 100, 5000);
+  test::Count(db, db.Resolve("r", "a"), 100, 5000);
+  test::Count(db, db.Resolve("r", "a"), 100, 5000);
   const auto idx = db.holistic()->store().Find("r.a");
   ASSERT_NE(idx, nullptr);
   EXPECT_EQ(idx->stats().accesses.load(), 2u);
@@ -95,9 +96,10 @@ TEST(Table1, UpdatesAreCheapForAdaptiveAndHolistic) {
   opts.mode = ExecMode::kAdaptive;
   Database db(opts);
   db.LoadColumn("r", "a", GenerateUniformColumn(kRows, kDomain, 6));
-  db.CountRange("r", "a", 100, 5000);
+  test::Count(db, db.Resolve("r", "a"), 100, 5000);
   const size_t pieces = db.TotalIndexPieces();
-  for (int i = 0; i < 100; ++i) db.Insert("r", "a", i * 37 % kDomain);
+  const ColumnHandle h = db.Resolve("r", "a");
+  for (int i = 0; i < 100; ++i) db.Insert(h, i * 37 % kDomain);
   EXPECT_EQ(db.TotalIndexPieces(), pieces);  // nothing rebuilt eagerly
 }
 

@@ -1,7 +1,7 @@
 /// \file test_support.h
 /// \brief Shared deterministic test substrate.
 ///
-/// Three building blocks keep the suites hermetic on any machine,
+/// Four building blocks keep the suites hermetic and terse on any machine,
 /// including single-core CI containers:
 ///  * seeded data generators (no global RNG state, identical data on
 ///    every run),
@@ -10,7 +10,10 @@
 ///  * a RunOneCycle-based engine driver so holistic-engine tests pump
 ///    tuning cycles synchronously instead of depending on wall-clock
 ///    CPU load, plus a bounded progress wait for the few tests that do
-///    exercise the real tuning thread.
+///    exercise the real tuning thread,
+///  * one-line QuerySpec builders for the §3.1 primitives (count, sum,
+///    rowids, projected sum over one range predicate), in process and
+///    over the wire.
 
 #pragma once
 
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "cracking/cracker_column.h"
+#include "engine/query_spec.h"
 #include "holistic/adaptive_index.h"
 #include "holistic/holistic_engine.h"
 #include "util/rng.h"
@@ -141,6 +145,93 @@ inline bool WaitForProgress(
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+// --- One-line query builders ---------------------------------------------
+//
+// Each runs the one-predicate, one-result QuerySpec of a §3.1 primitive
+// through Execute on a Database or a Session (`target`), so it answers on
+// the mode-native operator exactly as any other caller's spec would.
+
+/// select count(*) where low <= column < high.
+template <typename Target>
+size_t Count(Target& target, const ColumnHandle& column, KeyScalar low,
+             KeyScalar high) {
+  return static_cast<size_t>(
+      target.Execute(QuerySpec().Where(column, low, high).Count())
+          .values[0]
+          .i);
+}
+
+/// select sum(column) where low <= column < high, in the column's carrier
+/// (i64 for integer columns, f64 for double columns).
+template <typename Target>
+KeyScalar Sum(Target& target, const ColumnHandle& column, KeyScalar low,
+              KeyScalar high) {
+  return target.Execute(QuerySpec().Where(column, low, high).Sum(column))
+      .values[0];
+}
+
+/// The qualifying rowids, in the mode's native order.
+template <typename Target>
+PositionList RowIds(Target& target, const ColumnHandle& column,
+                    KeyScalar low, KeyScalar high) {
+  return std::move(
+      target.Execute(QuerySpec().Where(column, low, high).RowIds()).rowids);
+}
+
+/// select sum(project) where low <= where < high (late reconstruction), in
+/// the project column's carrier.
+template <typename Target>
+KeyScalar ProjectSum(Target& target, const ColumnHandle& where,
+                     const ColumnHandle& project, KeyScalar low,
+                     KeyScalar high) {
+  return target
+      .Execute(QuerySpec().Where(where, low, high).ProjectSum(project))
+      .values[0];
+}
+
+// The same primitives over the wire: one-predicate, one-result
+// ExecuteQuery frames through a HolixClient session.
+
+/// Result kind (0 count, 1 sum, 2 rowids, 3 project-sum) of one predicate
+/// low <= column < high; sums name \p sum_column.
+template <typename Client>
+auto WireQuery(Client& client, uint64_t session, const std::string& table,
+               const std::string& column, KeyScalar low, KeyScalar high,
+               uint8_t kind = 0, const std::string& sum_column = "") {
+  return client.ExecuteQuery(session, table, {{column, low, high}},
+                             {{kind, sum_column}});
+}
+
+template <typename Client>
+uint64_t WireCount(Client& client, uint64_t session, const std::string& table,
+                   const std::string& column, KeyScalar low, KeyScalar high) {
+  return static_cast<uint64_t>(
+      WireQuery(client, session, table, column, low, high).values[0].i);
+}
+
+template <typename Client>
+KeyScalar WireSum(Client& client, uint64_t session, const std::string& table,
+                  const std::string& column, KeyScalar low, KeyScalar high) {
+  return WireQuery(client, session, table, column, low, high, 1, column)
+      .values[0];
+}
+
+/// Pipelined count: sends the request and returns its id.
+template <typename Client>
+uint64_t SendWireCount(Client& client, uint64_t session,
+                       const std::string& table, const std::string& column,
+                       KeyScalar low, KeyScalar high) {
+  return client.SendExecuteQuery(session, table, {{column, low, high}},
+                                 {{0, ""}});
+}
+
+/// Awaits the count answering pipelined request \p request_id.
+template <typename Client>
+uint64_t AwaitWireCount(Client& client, uint64_t request_id) {
+  return static_cast<uint64_t>(
+      client.AwaitExecuteQuery(request_id).values[0].i);
 }
 
 }  // namespace test

@@ -41,10 +41,9 @@ import sys
 MIN_GATED_SECONDS = 0.005
 
 # Column headers that carry non-timing numerics (correctness probes, row
-# labels, coalescing stats); gating them would flag intentional workload
-# changes as "regressions".
-NON_TIMING_HEADERS = ("checksum", "clients", "#attrs", "variation", "batch",
-                      "match")
+# labels); gating them would flag intentional workload changes as
+# "regressions".
+NON_TIMING_HEADERS = ("checksum", "clients", "#attrs", "variation", "match")
 
 
 def is_timing_column(header, col):
