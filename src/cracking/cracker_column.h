@@ -433,10 +433,12 @@ class CrackerColumn {
   }
 
   /// Boundary (value, position) pairs in ascending value order — the
-  /// warm-start payload a checkpoint persists. A boundary's position is a
-  /// pure function of the column multiset (#{x : x < value}), so
-  /// re-cracking a restored column at these values reproduces the
-  /// boundaries bit-identically.
+  /// warm-start payload a checkpoint persists (the values only). A
+  /// boundary's position is a pure function of the column multiset
+  /// (#{x : x < value}), so re-cracking a restored column at these values
+  /// reproduces the boundaries bit-identically in any crack order, and a
+  /// later Ripple merge keeps them so. Recovery cracks median-first
+  /// (O(n log p) rows moved) and merges the update history afterwards.
   std::vector<std::pair<T, size_t>> ExportBoundaries() const {
     ReadGuard column_guard(column_latch_);
     std::shared_lock<std::shared_mutex> lk(tree_mu_);

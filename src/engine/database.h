@@ -176,12 +176,18 @@ class Database {
   void ApplyLoggedDelete(const std::string& table, const std::string& column,
                          ValueType type, uint64_t rank, RowId rid);
 
-  /// Recovery step 3: force-merges every restored column, re-cracks each
-  /// cracker at its saved pivots (bit-identical boundaries — a boundary's
-  /// position is a pure function of the column multiset), restores the
-  /// life stats and the holistic store membership, and verifies the
-  /// cracker invariants. Throws std::runtime_error on invariant failure.
-  void FinishRestore(const DurableDatabaseState& state);
+  /// Recovery step 3: re-cracks each restored cracker at its saved pivots
+  /// in median-first order (sorted pivots, crack at the middle one, recurse
+  /// on both halves: O(n log p) rows moved for n rows and p pivots), then
+  /// Ripple-merges the pending update history (checkpointed registries plus
+  /// the replayed WAL tail) into the re-cracked pieces, so each delete
+  /// searches one piece rather than the whole column. Boundaries come out
+  /// bit-identical — a boundary's position is a pure function of the final
+  /// column multiset. Then restores the life stats and the holistic store
+  /// membership and verifies the cracker invariants (one O(n) pass).
+  /// Throws std::runtime_error on invariant failure.
+  /// \return wall time spent re-cracking and merging, summed over columns.
+  RestoreTimings FinishRestore(const DurableDatabaseState& state);
 
   // --- Introspection ------------------------------------------------------
 

@@ -48,7 +48,8 @@ struct DurableColumnState {
   /// Cracker piece boundaries (pivot ranks, in-order). Positions are not
   /// stored: a boundary's position is the number of column values below
   /// its pivot, which recovery reproduces exactly by re-cracking the
-  /// restored multiset at each pivot.
+  /// restored base column at each pivot and then Ripple-merging the
+  /// update history (Ripple keeps every boundary at that count).
   bool has_cracker = false;
   std::vector<uint64_t> pivot_ranks;
 
@@ -78,6 +79,14 @@ struct DurableDatabaseState {
   uint64_t next_rowid = 0;
   std::vector<DurableTableState> tables;
   std::vector<DurableColumnState> columns;
+};
+
+/// Where `Database::FinishRestore` spent its time, summed over columns:
+/// re-cracking at the saved pivots, then Ripple-merging the pending
+/// update history.
+struct RestoreTimings {
+  double recrack_seconds = 0;
+  double merge_seconds = 0;
 };
 
 /// Interface the engine's update path calls after applying an update.

@@ -69,6 +69,7 @@
 /// | holix_recovery_columns_total                | counter   | columns restored from snapshot |
 /// | holix_recovery_pivots_total                 | counter   | cracker pivots re-applied at warm start |
 /// | holix_recovery_seconds                      | histogram | wall time per recovery |
+/// | holix_recovery_phase_seconds{phase="..."}   | histogram | recovery wall time per phase: snapshot_read, restore, wal_replay, recrack, merge |
 
 #pragma once
 

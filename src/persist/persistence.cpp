@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "engine/database.h"
 #include "obs/metrics.h"
@@ -48,6 +49,21 @@ obs::Histogram& RecoverySeconds() {
   static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
       "holix_recovery_seconds", {0.001, 0.01, 0.1, 1.0, 10.0, 60.0});
   return h;
+}
+
+/// One recovery phase's wall time: snapshot_read, restore, wal_replay,
+/// recrack or merge. Each recovery observes every phase exactly once.
+void ObserveRecoveryPhase(const char* phase, double seconds) {
+  obs::MetricsRegistry::Global()
+      .GetHistogram(std::string("holix_recovery_phase_seconds{phase=\"") +
+                        phase + "\"}",
+                    {0.001, 0.01, 0.1, 1.0, 10.0, 60.0})
+      .Observe(seconds);
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t)
+      .count();
 }
 
 }  // namespace
@@ -133,9 +149,7 @@ uint64_t PersistenceManager::Checkpoint() {
   GarbageCollect(opts_.data_dir, man);
 
   CheckpointsTotal().Inc();
-  CheckpointSeconds().Observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
+  CheckpointSeconds().Observe(SecondsSince(start));
   return state.last_lsn;
 }
 
@@ -144,12 +158,17 @@ void PersistenceManager::Recover() {
   const Manifest man = ReadManifest(opts_.data_dir);
   DurableDatabaseState state = ReadSnapshot(opts_.data_dir, man);
   snapshot_epoch_ = man.snapshot_epoch;
+  ObserveRecoveryPhase("snapshot_read", SecondsSince(start));
+
+  auto phase_start = std::chrono::steady_clock::now();
   db_.BeginRestore(state);
+  ObserveRecoveryPhase("restore", SecondsSince(phase_start));
 
   // Replay every WAL epoch the manifest still covers, in epoch order.
   // Records at or below the checkpoint LSN are already in the snapshot; a
   // torn tail ends one epoch's intact prefix, but later epochs (written
   // after a post-crash restart) still replay.
+  phase_start = std::chrono::steady_clock::now();
   uint64_t last = man.last_lsn;
   uint64_t replayed = 0;
   for (uint64_t epoch : ListWalEpochs(opts_.data_dir)) {
@@ -168,8 +187,11 @@ void PersistenceManager::Recover() {
     }
   }
   ReplayedRecords().Inc(replayed);
+  ObserveRecoveryPhase("wal_replay", SecondsSince(phase_start));
 
-  db_.FinishRestore(state);
+  const RestoreTimings finish = db_.FinishRestore(state);
+  ObserveRecoveryPhase("recrack", finish.recrack_seconds);
+  ObserveRecoveryPhase("merge", finish.merge_seconds);
   recovered_ = true;
   recovered_lsn_ = last;
   last_checkpoint_lsn_.store(man.last_lsn, std::memory_order_relaxed);
@@ -178,9 +200,7 @@ void PersistenceManager::Recover() {
   for (const DurableColumnState& cs : state.columns) {
     RecoveredPivots().Inc(cs.pivot_ranks.size());
   }
-  RecoverySeconds().Observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
+  RecoverySeconds().Observe(SecondsSince(start));
 }
 
 void PersistenceManager::BackgroundLoop() {

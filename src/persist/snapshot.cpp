@@ -36,15 +36,18 @@ obs::Counter& CheckpointBytes() {
 
 /// Writes `magic | version | crc | body_len | body` to `path.tmp`, fsyncs,
 /// renames into place. Throws on failure, leaving at most a .tmp behind.
-void WriteFramedFile(const std::string& path, const char magic[8],
-                     const std::vector<uint8_t>& body) {
+/// \return the body's CRC32C (the header's crc field), so callers that
+/// also record it elsewhere need not hash the body a second time.
+uint32_t WriteFramedFile(const std::string& path, const char magic[8],
+                         const std::vector<uint8_t>& body) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) ThrowErrno("snapshot open " + tmp);
   ByteWriter header;
   header.bytes().insert(header.bytes().end(), magic, magic + 8);
   header.PutU32(kSnapshotVersion);
-  header.PutU32(Crc32c(body.data(), body.size()));
+  const uint32_t crc = Crc32c(body.data(), body.size());
+  header.PutU32(crc);
   header.PutU64(body.size());
   bool ok = io::FullWrite(fd, header.bytes().data(), header.size()) &&
             io::FullWrite(fd, body.data(), body.size()) && io::Fsync(fd);
@@ -62,11 +65,20 @@ void WriteFramedFile(const std::string& path, const char magic[8],
     ThrowErrno("snapshot rename " + tmp);
   }
   CheckpointBytes().Inc(header.size() + body.size());
+  return crc;
 }
 
-/// Reads a framed file, validating magic, version, and CRC.
-std::vector<uint8_t> ReadFramedFile(const std::string& path,
-                                    const char magic[8]) {
+/// A framed file's body and its CRC32C, already verified against the
+/// frame header.
+struct FramedBody {
+  std::vector<uint8_t> bytes;
+  uint32_t crc = 0;
+};
+
+/// Reads a framed file, validating magic, version, and CRC. The body is
+/// hashed exactly once; callers compare the returned crc with any other
+/// record of it (the manifest) instead of hashing again.
+FramedBody ReadFramedFile(const std::string& path, const char magic[8]) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) ThrowErrno("snapshot open " + path);
   struct stat st {};
@@ -109,8 +121,10 @@ std::vector<uint8_t> ReadFramedFile(const std::string& path,
                              " bytes, expected " +
                              std::to_string(kHeaderSize + body_len) + ")");
   }
-  std::vector<uint8_t> body(data.begin() + kHeaderSize, data.begin() + off);
-  if (Crc32c(body.data(), body.size()) != crc) {
+  FramedBody body;
+  body.bytes.assign(data.begin() + kHeaderSize, data.begin() + off);
+  body.crc = Crc32c(body.bytes.data(), body.bytes.size());
+  if (body.crc != crc) {
     throw std::runtime_error(path + ": checksum mismatch");
   }
   return body;
@@ -208,9 +222,8 @@ void WriteSnapshot(const std::string& dir, uint64_t epoch, uint64_t wal_epoch,
   for (const DurableColumnState& cs : state.columns) {
     const std::vector<uint8_t> body = EncodeColumn(cs);
     const std::string path = ColumnFileName(snap_dir, cs.table, cs.column);
-    WriteFramedFile(path, kColMagic, body);
-    files.push_back({cs.table, cs.column, cs.type,
-                     Crc32c(body.data(), body.size()), body.size()});
+    const uint32_t crc = WriteFramedFile(path, kColMagic, body);
+    files.push_back({cs.table, cs.column, cs.type, crc, body.size()});
   }
   if (!io::FsyncDir(snap_dir)) ThrowErrno("snapshot fsync " + snap_dir);
 
@@ -240,7 +253,7 @@ void WriteSnapshot(const std::string& dir, uint64_t epoch, uint64_t wal_epoch,
 
 Manifest ReadManifest(const std::string& dir) {
   const std::string path = ManifestPath(dir);
-  const std::vector<uint8_t> body = ReadFramedFile(path, kManMagic);
+  const std::vector<uint8_t> body = ReadFramedFile(path, kManMagic).bytes;
   try {
     ByteReader r(body.data(), body.size());
     Manifest man;
@@ -280,12 +293,11 @@ DurableDatabaseState ReadSnapshot(const std::string& dir,
   state.columns.reserve(manifest.columns.size());
   for (const ManifestColumnFile& f : manifest.columns) {
     const std::string path = ColumnFileName(snap_dir, f.table, f.column);
-    const std::vector<uint8_t> body = ReadFramedFile(path, kColMagic);
-    if (body.size() != f.bytes ||
-        Crc32c(body.data(), body.size()) != f.crc) {
+    const FramedBody body = ReadFramedFile(path, kColMagic);
+    if (body.bytes.size() != f.bytes || body.crc != f.crc) {
       throw std::runtime_error(path + ": does not match manifest checksum");
     }
-    DurableColumnState cs = DecodeColumn(body, path);
+    DurableColumnState cs = DecodeColumn(body.bytes, path);
     if (cs.table != f.table || cs.column != f.column || cs.type != f.type) {
       throw std::runtime_error(path + ": identity mismatch vs manifest");
     }

@@ -3,11 +3,13 @@
 /// answers, rank-image round trips for the nasty doubles, WAL append/read
 /// with LSN ordering and torn-tail/CRC rejection, snapshot + manifest
 /// round trips, fault-injected checkpoint failure leaving the previous
-/// manifest in force, checkpoint/recover across every exec mode, and
-/// index warm-start with bit-identical cracker piece boundaries.
+/// manifest in force, checkpoint/recover across every exec mode, index
+/// warm-start with bit-identical cracker piece boundaries, the
+/// O(n log p) re-crack work bound, and the per-phase recovery timings.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "obs/metrics.h"
 #include "persist/checksum.h"
 #include "persist/io_shim.h"
 #include "persist/persistence.h"
@@ -25,6 +28,7 @@
 #include "persist/wal.h"
 #include "test_support.h"
 #include "util/key_traits.h"
+#include "util/rng.h"
 
 namespace holix::persist {
 namespace {
@@ -58,6 +62,32 @@ TEST(Checksum, Crc32cKnownAnswer) {
   // Incremental == one-shot.
   const uint32_t head = Crc32c("1234", 4);
   EXPECT_EQ(Crc32c("56789", 5, head), 0xE3069283u);
+  EXPECT_EQ(Crc32cPortable("123456789", 9), 0xE3069283u);
+}
+
+TEST(Checksum, DispatchedCrc32cMatchesTheTableImplementation) {
+  // The hardware path must be a drop-in for the table: same value for
+  // every length (the 8-byte main loop plus every tail), every alignment
+  // of the start, and every chaining seed, so files written by either
+  // path verify under the other.
+  std::vector<uint8_t> buf(300 + 8);
+  Rng rng(61);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Below(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len + offset <= 300; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32c(p, len), Crc32cPortable(p, len))
+          << "offset " << offset << " len " << len;
+      const uint32_t seed = Crc32cPortable(buf.data(), offset + 3);
+      ASSERT_EQ(Crc32c(p, len, seed), Crc32cPortable(p, len, seed))
+          << "offset " << offset << " len " << len << " seeded";
+      // Chained halves equal the one-shot value.
+      const size_t half = len / 2;
+      ASSERT_EQ(Crc32c(p + half, len - half, Crc32c(p, half)),
+                Crc32cPortable(p, len))
+          << "offset " << offset << " len " << len << " chained";
+    }
+  }
 }
 
 TEST(RankImages, NastyDoublesRoundTripLosslessly) {
@@ -318,9 +348,17 @@ TEST_F(PersistTest, WalTailReplaysOnTopOfTheSnapshot) {
             test::NaiveCount(data, 777, 778) + 1);
 }
 
+/// The live cracker of column r.a (int64), or nullptr.
+std::shared_ptr<CrackerColumn<int64_t>> LiveCracker(Database& db) {
+  return db.Resolve("r", "a").entry()->runtime<int64_t>().cracker.load();
+}
+
 TEST_F(PersistTest, WarmStartReproducesBitIdenticalPieceBoundaries) {
   const auto data = test::MakeUniform(kRows, kDomain, 41);
+  DurableDatabaseState at_checkpoint;
   DurableDatabaseState before;
+  std::vector<std::pair<int64_t, size_t>> boundaries_before;
+  std::vector<size_t> pieces_before;
   {
     Database db(ModeOptions(ExecMode::kAdaptive));
     db.LoadColumn("r", "a", data);
@@ -331,16 +369,54 @@ TEST_F(PersistTest, WarmStartReproducesBitIdenticalPieceBoundaries) {
       (void)test::Count(db, h, (i * 7919) % kDomain,
                         ((i * 7919) % kDomain) + 2048);
     }
-    (void)db.Insert(db.Resolve("r", "a"), 4242);
-    EXPECT_TRUE(db.Delete(db.Resolve("r", "a"), data[10]));
+    (void)db.Insert(h, 4242);
+    EXPECT_TRUE(db.Delete(h, data[10]));
+    // Point lookups of the rows the WAL tail deletes. A delete resolves
+    // its row with a [v, v] select, which cracks at v and v + 1; the WAL
+    // logs updates, not cracks, so those boundaries must predate the
+    // checkpoint for the live index to be reproducible.
+    const size_t tail_deletes[] = {100, 2000, 9000, 15000};
+    for (size_t i : tail_deletes) {
+      EXPECT_GE(test::Count(db, h, data[i], data[i] + 1), 1u);
+    }
     pm.Checkpoint();
     // The checkpoint force-merged all pending updates, so this export is
-    // exactly the achieved-index state recovery must reproduce.
+    // exactly the achieved-index state the snapshot holds.
+    at_checkpoint = db.ExportDurableState();
+
+    // WAL tail, left pending in the queues (no query touches it): deletes
+    // of base rows in cracked pieces, and inserts both inside the domain
+    // and above it. Recovery merges these into the re-cracked pieces, which
+    // must shift every boundary exactly as merging them here does.
+    const auto cracker = LiveCracker(db);
+    ASSERT_NE(cracker, nullptr);
+    ASSERT_GT(cracker->NumPieces(), 50u);
+    for (size_t i : tail_deletes) EXPECT_TRUE(db.Delete(h, data[i]));
+    EXPECT_GT(cracker->pending().PendingDeletes(), 0u);
+    for (int64_t v : {int64_t{12345}, int64_t{kDomain / 2}, int64_t{777777},
+                      kDomain + 7, kDomain + 8}) {
+      (void)db.Insert(h, v);
+    }
+    EXPECT_GT(cracker->pending().PendingInserts(), 0u);
+    // ExportDurableState merges the tail, so the live boundaries below
+    // are the full pre-crash index recovery must reproduce.
     before = db.ExportDurableState();
+    boundaries_before = cracker->ExportBoundaries();
+    pieces_before = cracker->PieceSizes();
   }
   Database db2(ModeOptions(ExecMode::kAdaptive));
   PersistenceManager pm2(db2, DirOptions(temp_dir()));
   ASSERT_TRUE(pm2.recovered());
+  const auto cracker2 = LiveCracker(db2);
+  ASSERT_NE(cracker2, nullptr);
+  // Recovery merged the whole update history: nothing is left queued.
+  EXPECT_EQ(cracker2->pending().PendingInserts(), 0u);
+  EXPECT_EQ(cracker2->pending().PendingDeletes(), 0u);
+  // The tentpole claim: the restarted node resumes at the achieved
+  // C_actual — the same (value, position) boundaries and piece sizes, bit
+  // for bit.
+  EXPECT_EQ(cracker2->ExportBoundaries(), boundaries_before);
+  EXPECT_EQ(cracker2->PieceSizes(), pieces_before);
   const DurableDatabaseState after = db2.ExportDurableState();
 
   ASSERT_EQ(after.columns.size(), before.columns.size());
@@ -350,16 +426,99 @@ TEST_F(PersistTest, WarmStartReproducesBitIdenticalPieceBoundaries) {
   EXPECT_EQ(a.appended, b.appended);
   EXPECT_EQ(a.deleted_base, b.deleted_base);
   ASSERT_TRUE(a.has_cracker);
-  // The tentpole claim: the restarted node resumes at the achieved
-  // C_actual — same pivots, bit for bit.
   EXPECT_EQ(a.pivot_ranks, b.pivot_ranks);
-  // Life counters survive (restored after recovery's own re-cracks, so
-  // the merge/crack work recovery does is not double-counted).
-  EXPECT_EQ(a.stats[0], b.stats[0]);  // accesses
-  EXPECT_EQ(a.stats[2], b.stats[2]);  // query cracks
-  EXPECT_EQ(a.stats[5], b.stats[5]);  // merged inserts
-  EXPECT_EQ(a.stats[6], b.stats[6]);  // merged deletes
+  // Life counters survive as checkpointed (restored after recovery's own
+  // re-cracks and merge, so that work is not double-counted).
+  const DurableColumnState& c = at_checkpoint.columns[0];
+  EXPECT_EQ(a.stats[0], c.stats[0]);  // accesses
+  EXPECT_EQ(a.stats[2], c.stats[2]);  // query cracks
+  EXPECT_EQ(a.stats[5], c.stats[5]);  // merged inserts
+  EXPECT_EQ(a.stats[6], c.stats[6]);  // merged deletes
   EXPECT_EQ(after.next_rowid, before.next_rowid);
+}
+
+TEST_F(PersistTest, WarmStartReCrackMovesOnlyNLogPRows) {
+  // Median-first re-cracking partitions disjoint pieces per recursion
+  // level, so restoring n rows at p pivots moves at most ceil(log2(p+1))
+  // levels of n rows. Re-cracking in ascending order moves about n*p/2.
+  constexpr size_t kN = size_t{1} << 16;
+  constexpr size_t kPivots = 300;
+  const auto data = test::MakeUniform(kN, kDomain, 43);
+  size_t pivots = 0;
+  {
+    Database db(ModeOptions(ExecMode::kAdaptive));
+    db.LoadColumn("r", "a", data);
+    PersistenceManager pm(db, DirOptions(temp_dir()));
+    (void)test::Count(db, db.Resolve("r", "a"), 0, 1);  // installs the cracker
+    const auto cracker = LiveCracker(db);
+    ASSERT_NE(cracker, nullptr);
+    for (size_t i = 1; i <= kPivots; ++i) {
+      cracker->CrackAtBlocking(static_cast<int64_t>(i * kDomain / kPivots) +
+                               3);
+    }
+    pm.Checkpoint();
+    pivots = db.ExportDurableState().columns[0].pivot_ranks.size();
+  }
+  ASSERT_GE(pivots, 256u);
+
+  obs::Counter& moved = obs::MetricsRegistry::Global().GetCounter(
+      "holix_crack_bytes_moved_total");
+  const uint64_t moved_before = moved.Value();
+  Database db2(ModeOptions(ExecMode::kAdaptive));
+  PersistenceManager pm2(db2, DirOptions(temp_dir()));
+  ASSERT_TRUE(pm2.recovered());
+  const uint64_t recovery_moved = moved.Value() - moved_before;
+
+  const uint64_t levels = std::bit_width(pivots);  // ceil(log2(p + 1))
+  const uint64_t bound =
+      (levels + 1) * kN * (sizeof(int64_t) + sizeof(RowId));
+  EXPECT_LE(recovery_moved, bound)
+      << "restoring " << kN << " rows at " << pivots << " pivots";
+  EXPECT_EQ(LiveCracker(db2)->NumPieces(), pivots + 1);
+}
+
+TEST_F(PersistTest, RecoveryObservesEachPhaseOnce) {
+  const auto data = test::MakeUniform(kRows, kDomain, 47);
+  {
+    Database db(ModeOptions(ExecMode::kAdaptive));
+    db.LoadColumn("r", "a", data);
+    PersistenceManager pm(db, DirOptions(temp_dir()));
+    (void)test::Count(db, db.Resolve("r", "a"), 1000, 90000);
+    pm.Checkpoint();
+    (void)db.Insert(db.Resolve("r", "a"), 4242);  // WAL tail
+  }
+  const char* const kPhases[] = {"snapshot_read", "restore", "wal_replay",
+                                 "recrack", "merge"};
+  auto find = [](const obs::MetricsSnapshot& snap, const std::string& name) {
+    for (const obs::HistogramSnapshot& h : snap.histograms) {
+      if (h.name == name) return h;
+    }
+    return obs::HistogramSnapshot{};
+  };
+  auto phase_name = [](const char* phase) {
+    return std::string("holix_recovery_phase_seconds{phase=\"") + phase +
+           "\"}";
+  };
+  const obs::MetricsSnapshot s0 = obs::MetricsRegistry::Global().Snapshot();
+  Database db2(ModeOptions(ExecMode::kAdaptive));
+  PersistenceManager pm2(db2, DirOptions(temp_dir()));
+  ASSERT_TRUE(pm2.recovered());
+  const obs::MetricsSnapshot s1 = obs::MetricsRegistry::Global().Snapshot();
+
+  double phase_sum = 0;
+  for (const char* phase : kPhases) {
+    const obs::HistogramSnapshot h0 = find(s0, phase_name(phase));
+    const obs::HistogramSnapshot h1 = find(s1, phase_name(phase));
+    EXPECT_EQ(h1.Total() - h0.Total(), 1u) << phase;
+    EXPECT_GE(h1.sum - h0.sum, 0.0) << phase;
+    phase_sum += h1.sum - h0.sum;
+  }
+  const obs::HistogramSnapshot r0 = find(s0, "holix_recovery_seconds");
+  const obs::HistogramSnapshot r1 = find(s1, "holix_recovery_seconds");
+  ASSERT_EQ(r1.Total() - r0.Total(), 1u);
+  // The phases are disjoint intervals inside the recovery's wall time; the
+  // slack absorbs only double rounding of the running histogram sums.
+  EXPECT_LE(phase_sum, (r1.sum - r0.sum) + 1e-9);
 }
 
 TEST_F(PersistTest, DoubleColumnsRecoverNaNNegZeroAndInfinities) {
