@@ -47,24 +47,11 @@ inline BenchEnv ReadEnv(size_t default_rows, size_t default_queries) {
   return env;
 }
 
-/// HOLIX_KERNEL=scalar|oop|parallel|simd overrides the select-path crack
-/// kernel of every bench database (A/B runs without recompiling).
-inline void ApplyKernelEnv(DatabaseOptions& opts) {
-  const char* env = std::getenv("HOLIX_KERNEL");
-  if (env == nullptr || *env == '\0') return;
-  if (auto algo = CrackAlgoFromString(env)) {
-    opts.kernel = *algo;
-  } else {
-    std::fprintf(stderr, "# ignoring unknown HOLIX_KERNEL '%s'\n", env);
-  }
-}
-
 /// Options for a plain (non-holistic) mode with \p user_threads contexts.
 inline DatabaseOptions PlainOptions(ExecMode mode, size_t user_threads) {
   DatabaseOptions opts;
   opts.mode = mode;
   opts.user_threads = user_threads;
-  ApplyKernelEnv(opts);
   return opts;
 }
 
@@ -84,7 +71,6 @@ inline DatabaseOptions HolisticOptions(size_t user_threads, size_t workers,
   opts.holistic.refinements_per_worker = refinements_per_worker;
   opts.holistic.strategy = strategy;
   opts.holistic.monitor_interval_seconds = 0.001;
-  ApplyKernelEnv(opts);
   return opts;
 }
 

@@ -5,10 +5,13 @@
 ///
 ///   holix_server [--port N] [--mode adaptive|holistic|...] [--rows N]
 ///                [--attrs N] [--threads N] [--io-threads N]
-///                [--kernel scalar|oop|parallel|simd]
 ///                [--seed N] [--metrics-port N]
 ///                [--data-dir PATH] [--fsync always|interval|never]
 ///                [--checkpoint-interval SECONDS]
+///
+/// `--threads N` sets the hardware contexts per query. The crack kernel is
+/// not configurable: large pieces crack morsel-parallel across those
+/// contexts, everything else with the SIMD tier picked by CPUID.
 ///
 /// `--port 0` (the default) binds an ephemeral port; the chosen port is
 /// printed as `listening on 127.0.0.1:<port>` so scripts (CI's server
@@ -71,13 +74,6 @@ holix::ExecMode ParseMode(const std::string& name) {
   std::exit(2);
 }
 
-holix::CrackAlgo ParseKernel(const std::string& name) {
-  if (auto algo = holix::CrackAlgoFromString(name)) return *algo;
-  std::fprintf(stderr, "unknown kernel '%s' (scalar|oop|parallel|simd)\n",
-               name.c_str());
-  std::exit(2);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,7 +83,6 @@ int main(int argc, char** argv) {
   size_t attrs = 4;
   size_t threads = 2;
   size_t io_threads = 2;
-  holix::CrackAlgo kernel = holix::CrackAlgo::kParallel;
   uint64_t seed = 1907;
   uint16_t metrics_port = 0;
   bool metrics_http = false;
@@ -115,8 +110,6 @@ int main(int argc, char** argv) {
       threads = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--io-threads") {
       io_threads = static_cast<size_t>(std::atoll(next()));
-    } else if (arg == "--kernel") {
-      kernel = ParseKernel(next());
     } else if (arg == "--seed") {
       seed = static_cast<uint64_t>(std::atoll(next()));
     } else if (arg == "--metrics-port") {
@@ -139,7 +132,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: holix_server [--port N] [--mode M] [--rows N] "
                    "[--attrs N] [--threads N] [--io-threads N] "
-                   "[--kernel scalar|oop|parallel|simd] "
                    "[--seed N] [--metrics-port N] "
                    "[--data-dir PATH] [--fsync always|interval|never] "
                    "[--checkpoint-interval SECONDS]\n");
@@ -150,7 +142,6 @@ int main(int argc, char** argv) {
   holix::DatabaseOptions opts;
   opts.mode = mode;
   opts.user_threads = threads;
-  opts.kernel = kernel;
   holix::Database db(opts);
   std::unique_ptr<holix::persist::PersistenceManager> persistence;
   holix::persist::PersistOptions popts;

@@ -4,73 +4,31 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <string_view>
 
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace holix {
 
-/// Which physical reorganization kernel a crack should use.
-enum class CrackAlgo {
-  kScalar,      ///< Branchy in-place Hoare partition [27].
-  kOutOfPlace,  ///< Predicated out-of-place kernel (vectorized cracking [44]).
-  kParallel,    ///< Morsel-driven partition & merge across threads [44].
-  kSimd,        ///< AVX2/AVX-512 compress-store tier (crack_kernels_simd.h);
-                ///< falls back to kOutOfPlace below AVX2, same output bytes.
-};
-
-/// Canonical short name, as accepted by CrackAlgoFromString.
-inline const char* CrackAlgoName(CrackAlgo algo) {
-  switch (algo) {
-    case CrackAlgo::kScalar:
-      return "scalar";
-    case CrackAlgo::kOutOfPlace:
-      return "oop";
-    case CrackAlgo::kParallel:
-      return "parallel";
-    case CrackAlgo::kSimd:
-      return "simd";
-  }
-  return "scalar";
-}
-
-/// Parses a kernel name (server --kernel flag, HOLIX_KERNEL env var).
-inline std::optional<CrackAlgo> CrackAlgoFromString(std::string_view s) {
-  if (s == "scalar") return CrackAlgo::kScalar;
-  if (s == "oop" || s == "out-of-place" || s == "outofplace")
-    return CrackAlgo::kOutOfPlace;
-  if (s == "parallel" || s == "morsel") return CrackAlgo::kParallel;
-  if (s == "simd") return CrackAlgo::kSimd;
-  return std::nullopt;
-}
-
-/// How kParallel distributes a piece across threads.
-enum class ParallelCrackMode {
-  kMorsels,       ///< ~L2-sized morsels on a work-stealing deque (default).
-  kStaticSlices,  ///< Exactly-`threads` static slices (the pre-morsel
-                  ///< scheme; kept for A/B benchmarking).
-};
-
 /// Options carried by select operators and holistic workers into the
 /// cracker column. Plain value type: cheap to copy per call.
+///
+/// There is no kernel knob: every crack is a two-way partition, and the
+/// column picks the kernel from what it can observe — payload-aligned
+/// columns use the scalar kernel (it co-moves payload rows), a `pool` with
+/// `parallel_threads > 1` the morsel-parallel kernel, anything else the
+/// SIMD kernel (whose portable tier is the out-of-place kernel).
 struct CrackConfig {
-  /// Kernel choice; kParallel requires `pool`.
-  CrackAlgo algo = CrackAlgo::kOutOfPlace;
-
-  /// Pool used by kParallel cracks (not owned). May be shared.
+  /// Pool used by parallel cracks (not owned). May be shared.
   ThreadPool* pool = nullptr;
 
-  /// Threads per parallel crack (the slice/morsel worker count of Figure 4).
+  /// Threads per parallel crack (the morsel worker count of Figure 4);
+  /// 1 keeps every crack single-threaded.
   size_t parallel_threads = 1;
 
   /// Pieces smaller than this fall back to the single-threaded SIMD kernel
-  /// even when kParallel is requested.
+  /// even when a parallel crack is possible.
   size_t min_parallel_piece = 1u << 16;
-
-  /// Scheduling of kParallel cracks.
-  ParallelCrackMode parallel_mode = ParallelCrackMode::kMorsels;
 
   /// Rows per morsel; 0 derives ~one L2 worth of (value, rowid) pairs.
   size_t morsel_rows = 0;

@@ -1,20 +1,22 @@
 /// \file crack_kernels.h
 /// \brief Physical reorganization kernels for database cracking (§3.2).
 ///
-/// Three kernels are provided:
+/// Two two-way kernels are provided:
 ///  * CrackInTwoScalar     — branchy in-place Hoare partition (the classic
-///                           cracking kernel of [27]),
-///  * CrackInThreeScalar   — single-pass three-way partition, used when both
-///                           query bounds fall into the same piece,
+///                           cracking kernel of [27]); the cracker column
+///                           uses it only for payload-aligned columns,
 ///  * CrackInTwoOutOfPlace — the predicated out-of-place kernel in the
 ///                           spirit of the vectorized cracking of Pirk et
 ///                           al. [44]: one sequential read stream, two
 ///                           sequential write streams, no data-dependent
 ///                           branches in the hot loop.
 ///
-/// All kernels partition values and co-move an attached rowid array (and,
-/// for the scalar kernels, arbitrary extra payload arrays via the swap
-/// functor), because cracker columns are (value, rowid) pairs.
+/// Both partition values and co-move an attached rowid array (and, for the
+/// scalar kernel, arbitrary extra payload arrays via the swap functor),
+/// because cracker columns are (value, rowid) pairs. A select whose bounds
+/// share one piece cracks twice (at low, then at high): two vectorized
+/// two-way passes beat one branchy three-way pass, and there is one kernel
+/// path to keep correct instead of two.
 ///
 /// Ordering goes through KeyTraits<T>::Less, never raw `<`: for integers it
 /// compiles to the identical compare, for doubles it is the engine's total
@@ -49,31 +51,6 @@ size_t CrackInTwoScalar(T* v, size_t lo, size_t hi, T pivot, SwapFn&& swap) {
     }
   }
   return i;
-}
-
-/// In-place three-way partition of [lo_idx, hi_idx):
-/// `< low` first, then `[low, high)`, then `>= high`. Requires low < high.
-/// \return pair (a, b): [lo_idx,a) < low; [a,b) in range; [b,hi_idx) >= high.
-template <typename T, typename SwapFn>
-std::pair<size_t, size_t> CrackInThreeScalar(T* v, size_t lo_idx,
-                                             size_t hi_idx, T low, T high,
-                                             SwapFn&& swap) {
-  size_t i = lo_idx;  // next slot for "< low"
-  size_t k = lo_idx;  // scan cursor
-  size_t j = hi_idx;  // first slot of ">= high"
-  while (k < j) {
-    if (KeyTraits<T>::Less(v[k], low)) {
-      if (i != k) swap(i, k);
-      ++i;
-      ++k;
-    } else if (!KeyTraits<T>::Less(v[k], high)) {
-      --j;
-      swap(k, j);
-    } else {
-      ++k;
-    }
-  }
-  return {i, k};
 }
 
 /// Scratch buffers reused across out-of-place cracks by one thread.

@@ -20,7 +20,7 @@
 /// This costs ~3 bytes of traffic per input byte (read, low/high write,
 /// high re-read+write) versus ~4 for the naive both-streams-in-scratch
 /// scheme, which is what the memory-bound large-N case is limited by.
-/// Because the portable fallback *is* `CrackInTwoOutOfPlace`, a `kSimd`
+/// Because the portable fallback *is* `CrackInTwoOutOfPlace`, a SIMD
 /// crack returns the same array bytes on every host regardless of the
 /// dispatched level — checksums never depend on the ISA.
 ///

@@ -54,7 +54,7 @@ struct CrackStats {
 ///
 /// The column stores (value, rowid) pairs which cracking physically
 /// reorganizes; an optional set of aligned payload columns is co-moved by
-/// the scalar kernels (sideways-style cracking, used by the TPC-H module).
+/// the scalar kernel (sideways-style cracking, used by the TPC-H module).
 template <typename T>
 class CrackerColumn {
  public:
@@ -112,7 +112,7 @@ class CrackerColumn {
 
   /// Attaches an aligned payload column (sideways cracking): payload row i
   /// moves together with value row i from now on. Only allowed before any
-  /// cracking has happened; scalar kernels are then used for all cracks.
+  /// cracking has happened; the scalar kernel is then used for all cracks.
   void AttachPayload(std::vector<int64_t> payload) {
     if (payload.size() != values_.size()) {
       throw std::invalid_argument("payload length mismatch");
@@ -158,8 +158,9 @@ class CrackerColumn {
         return {b, e};
       }
     }
-    // Fast path: both bounds inside the same piece -> crack-in-three.
-    if (auto range = TryCrackInThree(low, high, cfg)) return *range;
+    // Two two-way cracks, also when both bounds share one piece: the
+    // vectorized kernels beat a scalar three-way pass, and the second crack
+    // only touches the piece that holds `high` after the first.
     const size_t b = CrackAtBlocking(low, cfg);
     const size_t e = CrackAtBlocking(high, cfg);
     return {b, e};
@@ -568,9 +569,13 @@ class CrackerColumn {
     return index_.FindPiece(w, size());
   }
 
-  /// Partitions [begin, end) at \p pivot with the configured kernel while
-  /// the caller holds the piece's write latch. Columns with aligned
-  /// payloads always use the scalar kernel (it co-moves payload rows).
+  /// Partitions [begin, end) at \p pivot while the caller holds the
+  /// piece's write latch. The kernel follows from what the column can
+  /// observe: aligned payloads need the scalar kernel (it co-moves payload
+  /// rows); a pool with more than one thread gets the morsel-parallel
+  /// kernel (which itself falls back to SIMD below min_parallel_piece);
+  /// everything else the SIMD kernel, whose portable tier is the
+  /// out-of-place kernel, byte for byte.
   size_t Partition(size_t begin, size_t end, T pivot,
                    const CrackConfig& cfg) {
     CountCrackKernel(begin, end);
@@ -578,33 +583,16 @@ class CrackerColumn {
       return CrackInTwoScalar(values_.data(), begin, end, pivot,
                               [this](size_t i, size_t j) { SwapRows(i, j); });
     }
-    switch (cfg.algo) {
-      case CrackAlgo::kScalar:
-        return CrackInTwoScalar(
-            values_.data(), begin, end, pivot, [this](size_t i, size_t j) {
-              std::swap(values_[i], values_[j]);
-              std::swap(rowids_[i], rowids_[j]);
-            });
-      case CrackAlgo::kParallel:
-        if (cfg.pool != nullptr && cfg.parallel_threads > 1) {
-          ParallelCrackOptions opts;
-          opts.threads = cfg.parallel_threads;
-          opts.min_parallel_piece = cfg.min_parallel_piece;
-          opts.mode = cfg.parallel_mode;
-          opts.morsel_rows = cfg.morsel_rows;
-          return ParallelCrackInTwo(values_.data(), rowids_.data(), begin,
-                                    end, pivot, *cfg.pool, opts);
-        }
-        [[fallthrough]];
-      case CrackAlgo::kSimd:
-        return CrackInTwoSimd(values_.data(), rowids_.data(), begin, end,
-                              pivot, ThreadLocalCrackScratch<T>());
-      case CrackAlgo::kOutOfPlace:
-        return CrackInTwoOutOfPlace(values_.data(), rowids_.data(), begin,
-                                    end, pivot,
-                                    ThreadLocalCrackScratch<T>());
+    if (cfg.pool != nullptr && cfg.parallel_threads > 1) {
+      ParallelCrackOptions opts;
+      opts.threads = cfg.parallel_threads;
+      opts.min_parallel_piece = cfg.min_parallel_piece;
+      opts.morsel_rows = cfg.morsel_rows;
+      return ParallelCrackInTwo(values_.data(), rowids_.data(), begin, end,
+                                pivot, *cfg.pool, opts);
     }
-    return begin;
+    return CrackInTwoSimd(values_.data(), rowids_.data(), begin, end, pivot,
+                          ThreadLocalCrackScratch<T>());
   }
 
   void SwapRows(size_t i, size_t j) {
@@ -620,7 +608,10 @@ class CrackerColumn {
       num_boundaries_.store(index_.num_boundaries(),
                             std::memory_order_relaxed);
     }
-    CountPiecesCreated(1);
+    static obs::Counter& pieces = obs::MetricsRegistry::Global().GetCounter(
+        "holix_pieces_created_total");
+    pieces.Inc();
+    obs::TraceAddPiecesCreated(1);
   }
 
   static void CountCrackKernel(size_t begin, size_t end) {
@@ -631,68 +622,6 @@ class CrackerColumn {
     cracks.Inc();
     moved.Inc(static_cast<uint64_t>(end - begin) *
               (sizeof(T) + sizeof(RowId)));
-  }
-
-  static void CountPiecesCreated(uint32_t n) {
-    static obs::Counter& pieces = obs::MetricsRegistry::Global().GetCounter(
-        "holix_pieces_created_total");
-    pieces.Inc(n);
-    obs::TraceAddPiecesCreated(n);
-  }
-
-  /// Crack-in-three fast path: both bounds in one piece, one latch, one
-  /// pass over the data. Returns nullopt when the bounds span pieces (the
-  /// caller falls back to two crack-in-twos).
-  std::optional<PositionRange> TryCrackInThree(T low, T high,
-                                               const CrackConfig& cfg) {
-    PieceRef<T> piece = LookupPiece(low);
-    // The piece must strictly contain both bounds: high below (not at)
-    // the piece's upper boundary when one exists.
-    if (piece.exact ||
-        KeyTraits<T>::Less(piece.hi_value.value_or(high), high) ||
-        (piece.hi_value && KeyTraits<T>::Eq(*piece.hi_value, high))) {
-      return std::nullopt;
-    }
-    piece.latch->LockWrite();
-    PieceRef<T> cur = LookupPiece(low);
-    const bool still_spans =
-        !cur.exact && cur.latch == piece.latch &&
-        (!cur.hi_value || KeyTraits<T>::Less(high, *cur.hi_value));
-    if (!still_spans) {
-      piece.latch->UnlockWrite();
-      return std::nullopt;
-    }
-    // Stochastic pre-cracks would complicate the three-way path; stochastic
-    // configurations use the two-sided path instead.
-    if (cfg.stochastic && cur.size() > cfg.stochastic_min_piece) {
-      piece.latch->UnlockWrite();
-      return std::nullopt;
-    }
-    size_t a, b;
-    CountCrackKernel(cur.begin, cur.end);
-    if (!payloads_.empty()) {
-      std::tie(a, b) = CrackInThreeScalar(
-          values_.data(), cur.begin, cur.end, low, high,
-          [this](size_t i, size_t j) { SwapRows(i, j); });
-    } else {
-      std::tie(a, b) = CrackInThreeScalar(
-          values_.data(), cur.begin, cur.end, low, high,
-          [this](size_t i, size_t j) {
-            std::swap(values_[i], values_[j]);
-            std::swap(rowids_[i], rowids_[j]);
-          });
-    }
-    {
-      std::unique_lock<std::shared_mutex> lk(tree_mu_);
-      index_.Insert(low, a);
-      index_.Insert(high, b);
-      num_boundaries_.store(index_.num_boundaries(),
-                            std::memory_order_relaxed);
-    }
-    CountPiecesCreated(2);
-    stats_.query_cracks.fetch_add(2, std::memory_order_relaxed);
-    piece.latch->UnlockWrite();
-    return PositionRange{a, b};
   }
 
   /// Merges pending updates covering the piece around \p pivot (worker

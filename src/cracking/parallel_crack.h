@@ -8,14 +8,13 @@
 /// implement the same contract but carve the piece into ~L2-sized *morsels*
 /// scheduled on a work-stealing deque (ThreadPool::ParallelForMorsels)
 /// instead of exactly-`threads` static slices: a straggler (page fault,
-/// preemption, skewed memory node) no longer stalls the whole crack, it
+/// preemption, skewed memory node) does not stall the whole crack, it
 /// just loses its remaining morsels to thieves. Each morsel is partitioned
 /// by the SIMD out-of-place kernel; the global cut is the sum of morsel
 /// cuts, and the (provably equal-sized) sets of misplaced highs before the
 /// cut / misplaced lows after the cut are swapped pairwise (neutralization).
 /// The outcome — a contiguous `< pivot | >= pivot` piece — is identical to
-/// Figure 4(b). The pre-morsel static-slice scheme is kept behind
-/// ParallelCrackMode::kStaticSlices for A/B benchmarking.
+/// Figure 4(b).
 
 #pragma once
 
@@ -23,7 +22,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "cracking/crack_config.h"
 #include "cracking/crack_kernels.h"
 #include "cracking/crack_kernels_simd.h"
 #include "obs/metrics.h"
@@ -54,7 +52,6 @@ size_t DefaultMorselRows() {
 struct ParallelCrackOptions {
   size_t threads = 1;                 ///< Max participants (incl. caller).
   size_t min_parallel_piece = 1u << 16;  ///< Below this: single-threaded.
-  ParallelCrackMode mode = ParallelCrackMode::kMorsels;
   size_t morsel_rows = 0;             ///< 0 = DefaultMorselRows<T>().
   SimdLevel simd = DetectSimdLevel(); ///< Kernel tier for each block.
 };
@@ -73,16 +70,9 @@ size_t ParallelCrackInTwo(T* v, RowId* ids, size_t lo, size_t hi, T pivot,
                           opts.simd);
   }
 
-  // Carve [lo, hi) into contiguous blocks: ~L2-sized morsels, or exactly
-  // `threads` slices in the legacy static scheme.
-  size_t block_rows;
-  if (opts.mode == ParallelCrackMode::kStaticSlices) {
-    block_rows = (n + threads - 1) / threads;
-  } else {
-    block_rows = opts.morsel_rows != 0 ? opts.morsel_rows
-                                       : DefaultMorselRows<T>();
-  }
-  block_rows = std::max<size_t>(block_rows, 1);
+  // Carve [lo, hi) into contiguous ~L2-sized morsels.
+  const size_t block_rows = std::max<size_t>(
+      opts.morsel_rows != 0 ? opts.morsel_rows : DefaultMorselRows<T>(), 1);
   const size_t blocks = (n + block_rows - 1) / block_rows;
   std::vector<size_t> block_lo(blocks), block_hi(blocks), block_cut(blocks);
   for (size_t s = 0; s < blocks; ++s) {
@@ -94,18 +84,14 @@ size_t ParallelCrackInTwo(T* v, RowId* ids, size_t lo, size_t hi, T pivot,
     block_cut[s] = CrackInTwoSimd(v, ids, block_lo[s], block_hi[s], pivot,
                                   ThreadLocalCrackScratch<T>(), simd);
   };
-  if (opts.mode == ParallelCrackMode::kStaticSlices) {
-    pool.ParallelFor(0, blocks, crack_block);
-  } else {
-    const MorselRunStats stats =
-        pool.ParallelForMorsels(0, blocks, crack_block, threads);
-    static obs::Counter& morsels = obs::MetricsRegistry::Global().GetCounter(
-        "holix_crack_morsels_total");
-    static obs::Counter& steals = obs::MetricsRegistry::Global().GetCounter(
-        "holix_crack_morsel_steals_total");
-    morsels.Inc(stats.morsels);
-    if (stats.steals != 0) steals.Inc(stats.steals);
-  }
+  const MorselRunStats stats =
+      pool.ParallelForMorsels(0, blocks, crack_block, threads);
+  static obs::Counter& morsels = obs::MetricsRegistry::Global().GetCounter(
+      "holix_crack_morsels_total");
+  static obs::Counter& steals = obs::MetricsRegistry::Global().GetCounter(
+      "holix_crack_morsel_steals_total");
+  morsels.Inc(stats.morsels);
+  if (stats.steals != 0) steals.Inc(stats.steals);
 
   size_t lows = 0;
   for (size_t s = 0; s < blocks; ++s) lows += block_cut[s] - block_lo[s];
@@ -113,8 +99,7 @@ size_t ParallelCrackInTwo(T* v, RowId* ids, size_t lo, size_t hi, T pivot,
 
   // Neutralization: highs that ended up before the global cut trade places
   // with lows that ended up after it. Both run sets have equal total size;
-  // the argument is independent of the block count, so it holds for morsels
-  // exactly as it did for slices.
+  // the argument is independent of the block count.
   std::vector<internal::MisplacedRun> highs_before, lows_after;
   for (size_t s = 0; s < blocks; ++s) {
     const size_t hb = std::min(block_hi[s], cut);
@@ -133,17 +118,6 @@ size_t ParallelCrackInTwo(T* v, RowId* ids, size_t lo, size_t hi, T pivot,
       lo_pos = lows_after[lo_idx].begin;
   }
   return cut;
-}
-
-/// Legacy signature: morsel scheduling with default knobs.
-template <typename T>
-size_t ParallelCrackInTwo(T* v, RowId* ids, size_t lo, size_t hi, T pivot,
-                          ThreadPool& pool, size_t threads,
-                          size_t min_parallel_piece = (1u << 16)) {
-  ParallelCrackOptions opts;
-  opts.threads = threads;
-  opts.min_parallel_piece = min_parallel_piece;
-  return ParallelCrackInTwo(v, ids, lo, hi, pivot, pool, opts);
 }
 
 }  // namespace holix

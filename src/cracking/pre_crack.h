@@ -43,7 +43,7 @@ T EquiWidthPivot(T lo, T hi, size_t i, size_t n) {
 }
 
 /// Splits \p col into \p pieces equi-width value ranges by cracking at the
-/// k-1 interior grid pivots. Uses the kernel selected by \p cfg (parallel
+/// k-1 interior grid pivots. Uses the kernel \p cfg leads to (parallel
 /// cracking makes this scale with cores, as in [8]).
 template <typename T>
 void PreCrackEquiWidth(CrackerColumn<T>& col, size_t pieces,

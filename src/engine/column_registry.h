@@ -32,6 +32,7 @@
 #include "baselines/sorted_index.h"
 #include "cracking/cracker_column.h"
 #include "holistic/adaptive_index.h"
+#include "holistic/stats_store.h"
 #include "storage/column.h"
 #include "storage/types.h"
 
@@ -46,6 +47,19 @@ enum class StoreState : uint8_t {
   kPotential,     ///< Registered in C_potential (seeded, not yet queried).
   kOptimal,       ///< Retired into C_optimal.
 };
+
+/// The entry-side mirror of a stats-store configuration.
+inline StoreState StoreStateOf(ConfigKind kind) {
+  switch (kind) {
+    case ConfigKind::kActual:
+      return StoreState::kActual;
+    case ConfigKind::kPotential:
+      return StoreState::kPotential;
+    case ConfigKind::kOptimal:
+      return StoreState::kOptimal;
+  }
+  return StoreState::kUnregistered;
+}
 
 /// The typed per-attribute runtime: base storage plus the lazily built
 /// index structures. Index slots are atomic shared_ptrs so the hot path
@@ -112,6 +126,24 @@ class ColumnEntry {
     auto& slot = rt<T>();
     assert(slot != nullptr && "typed runtime accessed with the wrong T");
     return *slot;
+  }
+
+  /// The attribute's cracker column, built from the base column on first
+  /// use. Building copies the base data — the investment the first query
+  /// on an attribute pays in adaptive indexing — under build_mu, so other
+  /// attributes stay queryable. \p on_install runs under build_mu right
+  /// after a fresh column is published, once per build.
+  template <typename T, typename OnInstall = void (*)()>
+  std::shared_ptr<CrackerColumn<T>> EnsureCracker(
+      OnInstall&& on_install = [] {}) {
+    auto& slot = runtime<T>();
+    if (auto c = slot.cracker.load(std::memory_order_acquire)) return c;
+    std::lock_guard<std::mutex> lk(build_mu);
+    if (auto c = slot.cracker.load(std::memory_order_acquire)) return c;
+    auto fresh = std::make_shared<CrackerColumn<T>>(key_, slot.base->values());
+    slot.cracker.store(fresh, std::memory_order_release);
+    on_install();
+    return fresh;
   }
 
   /// Drops every built index structure and forgets the store registration

@@ -22,37 +22,6 @@ uint64_t AppliedRank(KeyScalar value) {
   return KeyTraits<T>::ToRank(v);
 }
 
-/// Installs (or returns) a column's cracker for the restore path. Mirrors
-/// the executors' EnsureCracker minus the mode hooks: saved pivots already
-/// encode any pre-cracking, and holistic registration happens at the end
-/// of FinishRestore.
-template <typename T>
-std::shared_ptr<CrackerColumn<T>> EnsureRestoredCracker(ColumnEntry& e) {
-  auto& rt = e.runtime<T>();
-  auto cracker = rt.cracker.load(std::memory_order_acquire);
-  if (cracker == nullptr) {
-    std::lock_guard<std::mutex> lk(e.build_mu);
-    cracker = rt.cracker.load(std::memory_order_acquire);
-    if (cracker == nullptr) {
-      cracker = std::make_shared<CrackerColumn<T>>(e.key(), rt.base->values());
-      rt.cracker.store(cracker, std::memory_order_release);
-    }
-  }
-  return cracker;
-}
-
-StoreState StoreStateOf(ConfigKind kind) {
-  switch (kind) {
-    case ConfigKind::kActual:
-      return StoreState::kActual;
-    case ConfigKind::kPotential:
-      return StoreState::kPotential;
-    case ConfigKind::kOptimal:
-      return StoreState::kOptimal;
-  }
-  return StoreState::kUnregistered;
-}
-
 }  // namespace
 
 const char* ExecModeName(ExecMode m) {
@@ -302,7 +271,9 @@ void Database::BeginRestore(const DurableDatabaseState& state) {
   }
   // The checkpointed update history re-enters through the pending queues;
   // FinishRestore merges it after WAL replay has stacked the tail on top
-  // and the saved pivots are re-cracked.
+  // and the saved pivots are re-cracked. Restore installs crackers without
+  // the executors' on-install hooks: the saved pivots already encode any
+  // pre-cracking, and FinishRestore registers with the holistic store.
   for (const DurableColumnState& cs : state.columns) {
     if (!cs.has_cracker && cs.appended.empty() && cs.deleted_base.empty()) {
       continue;
@@ -310,7 +281,7 @@ void Database::BeginRestore(const DurableDatabaseState& state) {
     ColumnHandle h = registry_.Resolve(cs.table, cs.column);
     DispatchIndexableType(cs.type, [&](auto tag) {
       using T = typename decltype(tag)::type;
-      auto cracker = EnsureRestoredCracker<T>(*h.entry());
+      auto cracker = h.entry()->EnsureCracker<T>();
       for (const auto& [rid, rank] : cs.appended) {
         cracker->pending().AddInsert(KeyTraits<T>::FromRank(rank), rid);
       }
@@ -344,7 +315,7 @@ void Database::ApplyLoggedUpdate(WalOp op, const std::string& table,
   }
   DispatchIndexableType(type, [&](auto tag) {
     using T = typename decltype(tag)::type;
-    auto cracker = EnsureRestoredCracker<T>(e);
+    auto cracker = e.EnsureCracker<T>();
     const T v = KeyTraits<T>::FromRank(rank);
     if (op == WalOp::kInsert) {
       cracker->pending().AddInsert(v, rid);
@@ -371,13 +342,11 @@ RestoreTimings Database::FinishRestore(const DurableDatabaseState& state) {
       // moves O(n log p) rows; ascending order re-partitions the whole
       // remaining tail per pivot, O(n·p). Boundary positions come out
       // bit-identical regardless of order and kernel — pos(w) =
-      // #{x : x < w}. The SIMD kernel writes the same bytes as the
-      // out-of-place one, only faster.
+      // #{x : x < w}. A default CrackConfig cracks with the SIMD kernel.
       Timer recrack;
       std::vector<uint64_t> ranks = cs.pivot_ranks;
       std::sort(ranks.begin(), ranks.end());
-      CrackConfig cfg;
-      cfg.algo = CrackAlgo::kSimd;
+      const CrackConfig cfg;
       auto crack_range = [&](auto& self, size_t lo, size_t hi) -> void {
         if (lo >= hi) return;
         const size_t mid = lo + (hi - lo) / 2;

@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "cracking/crack_config.h"
 #include "holistic/holistic_engine.h"
 
 namespace holix {
@@ -34,7 +33,9 @@ struct DatabaseOptions {
   ExecMode mode = ExecMode::kAdaptive;
 
   /// Hardware contexts assigned to each user query (the "uX" in the
-  /// paper's uXwYxZ labels).
+  /// paper's uXwYxZ labels). Select-path cracks of large pieces run
+  /// morsel-parallel across them; with 1 every crack is single-threaded
+  /// SIMD. The crack kernel itself is not configurable (crack_config.h).
   size_t user_threads = 1;
 
   /// Hardware contexts of the whole machine (contexts not used by queries
@@ -46,13 +47,6 @@ struct DatabaseOptions {
 
   /// kCCGI: number of coarse chunks (0 = user_threads).
   size_t ccgi_chunks = 0;
-
-  /// Crack kernel of the user-query select path. kParallel uses the
-  /// morsel-driven scheme across `user_threads` contexts (each morsel
-  /// cracked by the SIMD tier); kSimd forces single-threaded SIMD cracks;
-  /// kScalar / kOutOfPlace pin the legacy kernels. All choices produce the
-  /// same query results — kOutOfPlace/kSimd/kParallel even the same bytes.
-  CrackAlgo kernel = CrackAlgo::kParallel;
 
   /// kHolistic: engine knobs (workers, x, strategy, budget, ...).
   HolisticConfig holistic;

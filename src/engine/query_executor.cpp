@@ -174,18 +174,6 @@ PositionList SortedIntersect(const PositionList& a, const PositionList& b) {
   return out;
 }
 
-StoreState ToStoreState(ConfigKind kind) {
-  switch (kind) {
-    case ConfigKind::kActual:
-      return StoreState::kActual;
-    case ConfigKind::kPotential:
-      return StoreState::kPotential;
-    case ConfigKind::kOptimal:
-      return StoreState::kOptimal;
-  }
-  return StoreState::kUnregistered;
-}
-
 // ---------------------------------------------------------------------------
 // Shared plumbing
 // ---------------------------------------------------------------------------
@@ -289,20 +277,31 @@ class ExecutorBase : public QueryExecutor {
     const PositionList rows = SelectRowIds(where_column, low, high, qctx);
     return DispatchIndexableType(pe.type(), [&](auto tag) -> KeyScalar {
       using P = typename decltype(tag)::type;
-      const Column<P>& proj = *pe.runtime<P>().base;
-      const size_t n = proj.size();
-      typename KeyTraits<P>::Sum sum = 0;
-      for (RowId rid : rows) {
-        P v{};
-        if (rid < n) {
-          v = proj[rid];
-        } else if (!AppendedValueFor<P>(pe, rid, &v)) {
-          continue;  // appended on the WHERE column only; no value here
-        }
-        sum += static_cast<typename KeyTraits<P>::Sum>(v);
-      }
-      return WrapSum<P>(sum);
+      return PositionalSum<P>(pe, [&](auto&& add) {
+        for (RowId rid : rows) add(rid);
+      });
     });
+  }
+
+  /// Sums column \p pe positionally over the rowids \p rows feeds to its
+  /// callback: through the base column, or through the appended registry
+  /// for rowids past it. A rowid appended on another column only has no
+  /// value here and adds nothing.
+  template <typename P, typename RowSource>
+  static KeyScalar PositionalSum(ColumnEntry& pe, RowSource&& rows) {
+    const Column<P>& proj = *pe.runtime<P>().base;
+    const size_t n = proj.size();
+    typename KeyTraits<P>::Sum sum = 0;
+    rows([&](RowId rid) {
+      P v{};
+      if (rid < n) {
+        v = proj[rid];
+      } else if (!AppendedValueFor<P>(pe, rid, &v)) {
+        return;
+      }
+      sum += static_cast<typename KeyTraits<P>::Sum>(v);
+    });
+    return WrapSum<P>(sum);
   }
 
   /// Validates the handle and returns its entry: null handles are caller
@@ -640,19 +639,9 @@ class ExecutorBase : public QueryExecutor {
           out.values.push_back(
               DispatchIndexableType(pe.type(), [&](auto tag) -> KeyScalar {
                 using P = typename decltype(tag)::type;
-                const Column<P>& proj = *pe.runtime<P>().base;
-                const size_t n = proj.size();
-                typename KeyTraits<P>::Sum sum = 0;
-                for (RowId rid : rows) {
-                  P v{};
-                  if (rid < n) {
-                    v = proj[rid];
-                  } else if (!AppendedValueFor<P>(pe, rid, &v)) {
-                    continue;  // row was never inserted into this attribute
-                  }
-                  sum += static_cast<typename KeyTraits<P>::Sum>(v);
-                }
-                return WrapSum<P>(sum);
+                return PositionalSum<P>(pe, [&](auto&& add) {
+                  for (RowId rid : rows) add(rid);
+                });
               }));
           break;
         }
@@ -867,29 +856,24 @@ class CrackingExecutor : public ExecutorBase {
       // Resolve the rowid of one matching row: select the closed unit range
       // [v, v] (this is itself an index-refining access; the closed form
       // keeps the type's maximum key deletable) and take the first
-      // qualifying rowid. A concurrent Ripple merge (holistic worker) may
-      // shift positions between the select and the read, so verify and
-      // retry.
-      for (int attempt = 0; attempt < 8; ++attempt) {
+      // qualifying rowid. A concurrent Ripple merge (another client's
+      // update, a holistic worker) may shift positions between the select
+      // and the read; the scan then visits nothing and the select is
+      // repeated, as in SelectScan — giving up would report a present row
+      // as absent.
+      for (;;) {
         uint64_t layout = 0;
         const PositionRange r = cracker->SelectRangeClosed(v, v, cfg, &layout);
         if (r.empty()) return false;
-        bool found = false;
         RowId rid = 0;
-        cracker->ScanRangeAt({r.begin, r.begin + 1}, layout,
-                             [&](T val, RowId rr) {
-                               if (KeyTraits<T>::Eq(val, v)) {
-                                 rid = rr;
-                                 found = true;
-                               }
-                             });
-        if (found) {
-          cracker->pending().AddDelete(v, rid);
-          if (deleted_rid != nullptr) *deleted_rid = rid;
-          return true;
+        if (!cracker->ScanRangeAt({r.begin, r.begin + 1}, layout,
+                                  [&](T, RowId rr) { rid = rr; })) {
+          continue;
         }
+        cracker->pending().AddDelete(v, rid);
+        if (deleted_rid != nullptr) *deleted_rid = rid;
+        return true;
       }
-      return false;
     });
   }
 
@@ -951,19 +935,9 @@ class CrackingExecutor : public ExecutorBase {
       return DispatchIndexableType(pe.type(), [&](auto ptag) -> KeyScalar {
         using P = typename decltype(ptag)::type;
         if (b.empty) return WrapSum<P>(0);
-        const Column<P>& proj = *pe.runtime<P>().base;
-        const size_t n = proj.size();
-        typename KeyTraits<P>::Sum sum = 0;
-        SelectScan<W>(we, b, qctx, [&](W, RowId rid) {
-          P v{};
-          if (rid < n) {
-            v = proj[rid];
-          } else if (!AppendedValueFor<P>(pe, rid, &v)) {
-            return;  // appended on the WHERE column only; no value here
-          }
-          sum += static_cast<typename KeyTraits<P>::Sum>(v);
+        return PositionalSum<P>(pe, [&](auto&& add) {
+          SelectScan<W>(we, b, qctx, [&](W, RowId rid) { add(rid); });
         });
-        return WrapSum<P>(sum);
       });
     });
   }
@@ -986,7 +960,6 @@ class CrackingExecutor : public ExecutorBase {
   /// The crack configuration of one select; overridden by kStochastic.
   virtual CrackConfig QueryCrackConfig(const QueryContext&) const {
     CrackConfig cfg;
-    cfg.algo = ctx_.options->kernel;
     cfg.pool = ctx_.query_pool;
     cfg.parallel_threads = ctx_.options->user_threads;
     return cfg;
@@ -1002,16 +975,7 @@ class CrackingExecutor : public ExecutorBase {
   template <typename T>
   std::shared_ptr<CrackerColumn<T>> EnsureCracker(ColumnEntry& e,
                                                   const QueryContext& qctx) {
-    auto& rt = e.runtime<T>();
-    if (auto c = rt.cracker.load(std::memory_order_acquire)) return c;
-    std::lock_guard<std::mutex> lk(e.build_mu);
-    if (auto c = rt.cracker.load(std::memory_order_acquire)) return c;
-    // This copy is the investment the first query on an attribute pays in
-    // adaptive indexing. Per-entry mutex: other attributes stay queryable.
-    auto fresh = std::make_shared<CrackerColumn<T>>(e.key(), rt.base->values());
-    rt.cracker.store(fresh, std::memory_order_release);
-    OnCrackerInstalled(e, qctx);
-    return fresh;
+    return e.EnsureCracker<T>([&] { OnCrackerInstalled(e, qctx); });
   }
 
   template <typename T>
@@ -1103,16 +1067,9 @@ class HolisticExecutor : public CrackingExecutor {
     }
     DispatchIndexableType(e.type(), [&](auto tag) {
       using T = typename decltype(tag)::type;
-      std::lock_guard<std::mutex> lk(e.build_mu);
-      auto& rt = e.runtime<T>();
-      auto cracker = rt.cracker.load(std::memory_order_acquire);
-      if (cracker == nullptr) {
-        cracker =
-            std::make_shared<CrackerColumn<T>>(e.key(), rt.base->values());
-        rt.cracker.store(cracker, std::memory_order_release);
-      }
       auto adapter =
-          std::make_shared<CrackerAdaptiveIndex<T>>(std::move(cracker));
+          std::make_shared<CrackerAdaptiveIndex<T>>(e.EnsureCracker<T>());
+      std::lock_guard<std::mutex> lk(e.build_mu);
       RegisterWithStore(e, std::move(adapter), ConfigKind::kPotential);
     });
   }
@@ -1148,7 +1105,7 @@ class HolisticExecutor : public CrackingExecutor {
         store.RecordQueryAccess(e.key());
         const auto kind = store.TryKindOf(e.key());
         e.store_state.store(
-            kind.has_value() ? ToStoreState(*kind) : StoreState::kUnregistered,
+            kind.has_value() ? StoreStateOf(*kind) : StoreState::kUnregistered,
             std::memory_order_release);
         return;
       }
@@ -1185,7 +1142,7 @@ class HolisticExecutor : public CrackingExecutor {
     std::vector<std::string> evicted;
     const bool ok =
         ctx_.holistic->store().Register(std::move(adapter), kind, &evicted);
-    e.store_state.store(ok ? ToStoreState(kind) : StoreState::kUnregistered,
+    e.store_state.store(ok ? StoreStateOf(kind) : StoreState::kUnregistered,
                         std::memory_order_release);
     // Budget evictions drop the victims' cracker columns; the store
     // already forgot them, so their next access rebuilds and re-registers.

@@ -91,11 +91,8 @@ void HolisticEngine::IdleFunction(size_t worker_id) {
   CrackConfig cfg;
   const size_t z = std::max<size_t>(1, config_.threads_per_worker);
   if (z > 1 && team_pools_[worker_id] != nullptr) {
-    cfg.algo = CrackAlgo::kParallel;
     cfg.pool = team_pools_[worker_id].get();
     cfg.parallel_threads = z;
-  } else {
-    cfg.algo = config_.worker_algo;
   }
 
   // Repeat x times: crack at a random pivot; when the piece is latched,

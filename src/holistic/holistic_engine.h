@@ -38,7 +38,8 @@ struct HolisticConfig {
   size_t max_workers = 8;
 
   /// z: threads per worker team; teams > 1 use parallel cracking on large
-  /// pieces (the paper's u16w8x2 style configurations).
+  /// pieces (the paper's u16w8x2 style configurations). Single-thread
+  /// workers crack with the SIMD kernel; there is no kernel knob.
   size_t threads_per_worker = 1;
 
   /// Index decision strategy (W1-W4). W4 (random) is the paper's robust
@@ -52,11 +53,6 @@ struct HolisticConfig {
   /// The paper uses 1 s (kernel statistics need it); the deterministic
   /// SlotCpuMonitor supports much shorter cycles for scaled-down runs.
   double monitor_interval_seconds = 0.002;
-
-  /// Kernel used by single-thread worker refinements. The SIMD tier
-  /// dispatches by CPUID and produces the same bytes as kOutOfPlace, so
-  /// this default is safe on any host.
-  CrackAlgo worker_algo = CrackAlgo::kSimd;
 
   /// How workers aim their cracks. The paper argues kRandom is best; the
   /// alternatives exist for the design-decision ablation (§4.2).

@@ -27,7 +27,7 @@
 ///
 /// | family                                      | kind      | source |
 /// |---------------------------------------------|-----------|--------|
-/// | holix_cracks_total                          | counter   | crack-in-two/three kernel invocations |
+/// | holix_cracks_total                          | counter   | crack-in-two kernel invocations |
 /// | holix_crack_bytes_moved_total               | counter   | bytes partitioned by crack kernels |
 /// | holix_crack_simd_ops_total                  | counter   | cracks served by the SIMD tier (vs fallback) |
 /// | holix_crack_morsels_total                   | counter   | morsels executed by parallel cracks |

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cracking/cracker_column.h"
+#include "engine/database.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -169,6 +170,64 @@ TEST(Concurrency, ManyThreadsSmallColumn) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_TRUE(col.CheckInvariants());
+}
+
+TEST(Concurrency, DeleteOfPresentRowSurvivesConcurrentMerges) {
+  // Delete resolves its row with a [v, v] select and then reads the first
+  // selected position. Ripple merges triggered by another client's inserts
+  // and selects (on a disjoint range of the same column) shift positions
+  // in between; Delete must then select again, never report a present row
+  // as absent.
+  constexpr int64_t kDeleted = 1000;     // values [0, kDeleted), one row each
+  constexpr int64_t kBusyLow = 1 << 20;  // the merging client's range
+  constexpr size_t kRows = 50000;
+  std::vector<int64_t> base(kRows);
+  Rng rng(77);
+  for (size_t i = 0; i < kRows; ++i) {
+    base[i] = i < static_cast<size_t>(kDeleted)
+                  ? static_cast<int64_t>(i)
+                  : kDeleted + static_cast<int64_t>(rng.Below(kBusyLow * 2));
+  }
+  std::vector<int64_t> shuffled = base;
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.Below(i)]);
+  }
+  DatabaseOptions opts;
+  opts.mode = ExecMode::kAdaptive;
+  Database db(opts);
+  db.LoadColumn("r", "a", shuffled);
+  const ColumnHandle h = db.Resolve("r", "a");
+
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> inserted{0};
+  std::thread merger([&] {
+    Rng mrng(5);
+    while (!stop.load(std::memory_order_acquire)) {
+      const int64_t v = kBusyLow + static_cast<int64_t>(mrng.Below(kBusyLow));
+      db.Insert(h, KeyScalar::I64(v));
+      inserted.fetch_add(1, std::memory_order_relaxed);
+      db.Execute(QuerySpec().Where(h, KeyScalar::I64(v),
+                                   KeyScalar::I64(v + 1)).Count());
+    }
+  });
+  int failed_deletes = 0;
+  for (int64_t v = 0; v < kDeleted; ++v) {
+    if (!db.Delete(h, KeyScalar::I64(v))) ++failed_deletes;
+  }
+  stop.store(true, std::memory_order_release);
+  merger.join();
+
+  EXPECT_EQ(failed_deletes, 0);
+  auto count = [&](int64_t lo, int64_t hi) {
+    return db.Execute(QuerySpec()
+                          .Where(h, KeyScalar::I64(lo), KeyScalar::I64(hi))
+                          .Count())
+        .values[0]
+        .i;
+  };
+  EXPECT_EQ(count(0, kDeleted), 0);
+  EXPECT_EQ(count(0, kBusyLow * 4),
+            static_cast<int64_t>(kRows) - kDeleted + inserted.load());
 }
 
 }  // namespace

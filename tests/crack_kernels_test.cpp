@@ -5,9 +5,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
-#include "cracking/crack_config.h"
 #include "cracking/crack_kernels.h"
 #include "cracking/crack_kernels_simd.h"
 #include "cracking/parallel_crack.h"
@@ -119,40 +119,14 @@ TEST(OutOfPlaceKernel, SubrangeOnly) {
   for (size_t i = cut; i < 700; ++i) ASSERT_GE(in.values[i], 50);
 }
 
-// --- Three-way kernel ---------------------------------------------------
-
-class ThreeWayKernelTest
-    : public ::testing::TestWithParam<std::tuple<int64_t, int64_t>> {};
-
-TEST_P(ThreeWayKernelTest, PartitionsIntoThree) {
-  const auto [low, high] = GetParam();
-  if (low >= high) GTEST_SKIP();
-  const KernelInput original = MakeInput(3000, 1000, low * 31 + high);
-  KernelInput in = original;
-  const auto [a, b] = CrackInThreeScalar(
-      in.values.data(), 0, in.values.size(), low, high,
-      [&](size_t i, size_t j) {
-        std::swap(in.values[i], in.values[j]);
-        std::swap(in.ids[i], in.ids[j]);
-      });
-  ASSERT_LE(a, b);
-  for (size_t i = 0; i < a; ++i) ASSERT_LT(in.values[i], low);
-  for (size_t i = a; i < b; ++i) {
-    ASSERT_GE(in.values[i], low);
-    ASSERT_LT(in.values[i], high);
-  }
-  for (size_t i = b; i < in.values.size(); ++i) ASSERT_GE(in.values[i], high);
-  for (size_t i = 0; i < in.values.size(); ++i) {
-    ASSERT_EQ(original.values[in.ids[i]], in.values[i]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ThreeWayKernelTest,
-    ::testing::Combine(::testing::Values(-10, 0, 100, 500, 998),
-                       ::testing::Values(1, 101, 500, 999, 1500)));
-
 // --- Parallel kernel ----------------------------------------------------
+
+ParallelCrackOptions MorselOptions(size_t threads, size_t min_parallel_piece) {
+  ParallelCrackOptions opts;
+  opts.threads = threads;
+  opts.min_parallel_piece = min_parallel_piece;
+  return opts;
+}
 
 class ParallelKernelTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
@@ -165,7 +139,7 @@ TEST_P(ParallelKernelTest, MatchesSequentialSemantics) {
   const int64_t pivot = 1 << 19;
   const size_t cut =
       ParallelCrackInTwo(in.values.data(), in.ids.data(), 0, n, pivot, pool,
-                         threads, /*min_parallel_piece=*/256);
+                         MorselOptions(threads, /*min_parallel_piece=*/256));
   EXPECT_EQ(cut, ExpectedCut(original.values, pivot));
   CheckTwoWay(original, in, cut, pivot);
 }
@@ -180,7 +154,7 @@ TEST(ParallelKernel, AllValuesBelowPivot) {
   KernelInput in = MakeInput(10000, 100, 1);
   const size_t cut = ParallelCrackInTwo(in.values.data(), in.ids.data(), 0,
                                         in.values.size(), int64_t{1000}, pool,
-                                        4, 256);
+                                        MorselOptions(4, 256));
   EXPECT_EQ(cut, in.values.size());
 }
 
@@ -189,7 +163,7 @@ TEST(ParallelKernel, AllValuesAtOrAbovePivot) {
   KernelInput in = MakeInput(10000, 100, 2);
   const size_t cut = ParallelCrackInTwo(in.values.data(), in.ids.data(), 0,
                                         in.values.size(), int64_t{-1}, pool,
-                                        4, 256);
+                                        MorselOptions(4, 256));
   EXPECT_EQ(cut, 0u);
 }
 
@@ -199,64 +173,66 @@ TEST(ParallelKernel, SubrangePreservesOutside) {
   KernelInput in = original;
   const size_t lo = 10000, hi = 90000;
   const int64_t pivot = 1 << 15;
-  ParallelCrackInTwo(in.values.data(), in.ids.data(), lo, hi, pivot, pool, 4,
-                     256);
+  ParallelCrackInTwo(in.values.data(), in.ids.data(), lo, hi, pivot, pool,
+                     MorselOptions(4, 256));
   for (size_t i = 0; i < lo; ++i) ASSERT_EQ(in.values[i], original.values[i]);
   for (size_t i = hi; i < in.values.size(); ++i)
     ASSERT_EQ(in.values[i], original.values[i]);
 }
 
-// --- Boundary cases, for each CrackAlgo ---------------------------------
+// --- Boundary cases, for each two-way kernel -----------------------------
 
-/// Runs the two-way crack of [lo, hi) with the kernel behind \p algo.
-size_t RunCrack(CrackAlgo algo, KernelInput& in, size_t lo, size_t hi,
-                int64_t pivot) {
-  switch (algo) {
-    case CrackAlgo::kScalar:
-      return CrackInTwoScalar(in.values.data(), lo, hi, pivot,
-                              [&](size_t i, size_t j) {
-                                std::swap(in.values[i], in.values[j]);
-                                std::swap(in.ids[i], in.ids[j]);
-                              });
-    case CrackAlgo::kOutOfPlace: {
-      CrackScratch<int64_t> scratch;
-      return CrackInTwoOutOfPlace(in.values.data(), in.ids.data(), lo, hi,
-                                  pivot, scratch);
-    }
-    case CrackAlgo::kParallel: {
-      ThreadPool pool(4);
-      return ParallelCrackInTwo(in.values.data(), in.ids.data(), lo, hi,
-                                pivot, pool, 4, /*min_parallel_piece=*/64);
-    }
-    case CrackAlgo::kSimd: {
-      CrackScratch<int64_t> scratch;
-      return CrackInTwoSimd(in.values.data(), in.ids.data(), lo, hi, pivot,
-                            scratch);
-    }
-  }
-  ADD_FAILURE() << "unknown CrackAlgo";
-  return lo;
+/// One two-way kernel under test: cracks [lo, hi) of \p in at \p pivot.
+struct TwoWayKernel {
+  const char* name;
+  size_t (*crack)(KernelInput& in, size_t lo, size_t hi, int64_t pivot);
+};
+
+size_t RunScalar(KernelInput& in, size_t lo, size_t hi, int64_t pivot) {
+  return CrackInTwoScalar(in.values.data(), lo, hi, pivot,
+                          [&](size_t i, size_t j) {
+                            std::swap(in.values[i], in.values[j]);
+                            std::swap(in.ids[i], in.ids[j]);
+                          });
 }
 
-class CrackAlgoBoundaryTest : public ::testing::TestWithParam<CrackAlgo> {};
+size_t RunOutOfPlace(KernelInput& in, size_t lo, size_t hi, int64_t pivot) {
+  CrackScratch<int64_t> scratch;
+  return CrackInTwoOutOfPlace(in.values.data(), in.ids.data(), lo, hi, pivot,
+                              scratch);
+}
 
-TEST_P(CrackAlgoBoundaryTest, EmptyPieceIsANoOp) {
+size_t RunParallel(KernelInput& in, size_t lo, size_t hi, int64_t pivot) {
+  ThreadPool pool(4);
+  return ParallelCrackInTwo(in.values.data(), in.ids.data(), lo, hi, pivot,
+                            pool, MorselOptions(4, /*min_parallel_piece=*/64));
+}
+
+size_t RunSimd(KernelInput& in, size_t lo, size_t hi, int64_t pivot) {
+  CrackScratch<int64_t> scratch;
+  return CrackInTwoSimd(in.values.data(), in.ids.data(), lo, hi, pivot,
+                        scratch);
+}
+
+class KernelBoundaryTest : public ::testing::TestWithParam<TwoWayKernel> {};
+
+TEST_P(KernelBoundaryTest, EmptyPieceIsANoOp) {
   const KernelInput original = MakeInput(100, 1000, 17);
   KernelInput in = original;
   // lo == hi in the middle of live data: nothing may move.
-  const size_t cut = RunCrack(GetParam(), in, 50, 50, 500);
+  const size_t cut = GetParam().crack(in, 50, 50, 500);
   EXPECT_EQ(cut, 50u);
   EXPECT_EQ(in.values, original.values);
   EXPECT_EQ(in.ids, original.ids);
 }
 
-TEST_P(CrackAlgoBoundaryTest, SingleElementPiece) {
+TEST_P(KernelBoundaryTest, SingleElementPiece) {
   for (const int64_t value : {int64_t{10}, int64_t{500}}) {
     for (const int64_t pivot : {int64_t{10}, int64_t{11}, int64_t{499}}) {
       KernelInput in;
       in.values = {value};
       in.ids = {0};
-      const size_t cut = RunCrack(GetParam(), in, 0, 1, pivot);
+      const size_t cut = GetParam().crack(in, 0, 1, pivot);
       EXPECT_EQ(cut, value < pivot ? 1u : 0u)
           << "value=" << value << " pivot=" << pivot;
       EXPECT_EQ(in.values[0], value);
@@ -265,7 +241,7 @@ TEST_P(CrackAlgoBoundaryTest, SingleElementPiece) {
   }
 }
 
-TEST_P(CrackAlgoBoundaryTest, AllEqualKeys) {
+TEST_P(KernelBoundaryTest, AllEqualKeys) {
   const size_t n = 1024;
   KernelInput original;
   original.values = test::MakeAllEqual(n, 42);
@@ -277,30 +253,30 @@ TEST_P(CrackAlgoBoundaryTest, AllEqualKeys) {
   };
   for (const Case c : {Case{42, 0}, Case{43, n}, Case{41, 0}}) {
     KernelInput in = original;
-    const size_t cut = RunCrack(GetParam(), in, 0, n, c.pivot);
+    const size_t cut = GetParam().crack(in, 0, n, c.pivot);
     EXPECT_EQ(cut, c.expected_cut) << "pivot=" << c.pivot;
     CheckTwoWay(original, in, cut, c.pivot);
   }
 }
 
-TEST_P(CrackAlgoBoundaryTest, PivotOutsideValueRange) {
+TEST_P(KernelBoundaryTest, PivotOutsideValueRange) {
   const KernelInput original = MakeInput(4096, 1000, 23);
   KernelInput in = original;
   // Below every value: cut at lo, nothing qualifies as "< pivot".
-  size_t cut = RunCrack(GetParam(), in, 0, in.values.size(), -7);
+  size_t cut = GetParam().crack(in, 0, in.values.size(), -7);
   EXPECT_EQ(cut, 0u);
   CheckTwoWay(original, in, cut, -7);
   // Above every value: cut at hi, everything is "< pivot".
-  cut = RunCrack(GetParam(), in, 0, in.values.size(), 10000);
+  cut = GetParam().crack(in, 0, in.values.size(), 10000);
   EXPECT_EQ(cut, in.values.size());
   CheckTwoWay(original, in, cut, 10000);
 }
 
-TEST_P(CrackAlgoBoundaryTest, SubrangeBoundariesUntouched) {
+TEST_P(KernelBoundaryTest, SubrangeBoundariesUntouched) {
   const KernelInput original = MakeInput(2048, 1000, 29);
   KernelInput in = original;
   const size_t lo = 512, hi = 1536;
-  const size_t cut = RunCrack(GetParam(), in, lo, hi, 500);
+  const size_t cut = GetParam().crack(in, lo, hi, 500);
   EXPECT_GE(cut, lo);
   EXPECT_LE(cut, hi);
   for (size_t i = 0; i < lo; ++i) ASSERT_EQ(in.values[i], original.values[i]);
@@ -310,24 +286,13 @@ TEST_P(CrackAlgoBoundaryTest, SubrangeBoundariesUntouched) {
   for (size_t i = cut; i < hi; ++i) ASSERT_GE(in.values[i], 500);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgos, CrackAlgoBoundaryTest,
-                         ::testing::Values(CrackAlgo::kScalar,
-                                           CrackAlgo::kOutOfPlace,
-                                           CrackAlgo::kParallel,
-                                           CrackAlgo::kSimd),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case CrackAlgo::kScalar:
-                               return "Scalar";
-                             case CrackAlgo::kOutOfPlace:
-                               return "OutOfPlace";
-                             case CrackAlgo::kParallel:
-                               return "Parallel";
-                             case CrackAlgo::kSimd:
-                               return "Simd";
-                           }
-                           return "Unknown";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllKernels, KernelBoundaryTest,
+    ::testing::Values(TwoWayKernel{"Scalar", RunScalar},
+                      TwoWayKernel{"OutOfPlace", RunOutOfPlace},
+                      TwoWayKernel{"Parallel", RunParallel},
+                      TwoWayKernel{"Simd", RunSimd}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace holix

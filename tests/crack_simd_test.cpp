@@ -4,7 +4,7 @@
 /// The load-bearing property is *bit identity*: for every dispatch level the
 /// SIMD kernel must produce exactly the bytes CrackInTwoOutOfPlace produces
 /// (values compared with memcmp, so NaN payloads and -0.0 signs count), and
-/// the cut must equal the KeyTraits::Less count. That makes kSimd results
+/// the cut must equal the KeyTraits::Less count. That makes SIMD results
 /// deterministic across hosts and lets checksums ignore the ISA.
 
 #include <gtest/gtest.h>
@@ -297,7 +297,6 @@ TEST(MorselParallelCrack, ManySmallMorselsMatchOracle) {
       ParallelCrackOptions opts;
       opts.threads = threads;
       opts.min_parallel_piece = 256;
-      opts.mode = ParallelCrackMode::kMorsels;
       opts.morsel_rows = morsel_rows;
       const int64_t pivot = 123;
       const size_t cut = ParallelCrackInTwo(v.data(), ids.data(), 0, n, pivot,
@@ -309,26 +308,6 @@ TEST(MorselParallelCrack, ManySmallMorselsMatchOracle) {
       CheckPartitioned<int64_t>(base, v, ids, 0, n, cut, pivot);
     }
   }
-}
-
-TEST(MorselParallelCrack, StaticSliceModeStillWorks) {
-  const size_t n = 50000;
-  ThreadPool pool(4);
-  std::vector<int64_t> base = RandomKeys<int64_t>(n, 55);
-  std::vector<int64_t> v = base;
-  std::vector<RowId> ids(n);
-  for (size_t i = 0; i < n; ++i) ids[i] = i;
-  ParallelCrackOptions opts;
-  opts.threads = 4;
-  opts.min_parallel_piece = 256;
-  opts.mode = ParallelCrackMode::kStaticSlices;
-  const int64_t pivot = -100;
-  const size_t cut =
-      ParallelCrackInTwo(v.data(), ids.data(), 0, n, pivot, pool, opts);
-  size_t expected = 0;
-  for (const int64_t x : base) expected += x < pivot ? 1 : 0;
-  EXPECT_EQ(cut, expected);
-  CheckPartitioned<int64_t>(base, v, ids, 0, n, cut, pivot);
 }
 
 TEST(MorselParallelCrack, SubrangeWithDoubleSpecials) {
@@ -389,7 +368,6 @@ TEST(MorselRace, ParallelSelectsRaceWorkerRefinement) {
 
   ThreadPool crack_pool(3);
   CrackConfig select_cfg;
-  select_cfg.algo = CrackAlgo::kParallel;
   select_cfg.pool = &crack_pool;
   select_cfg.parallel_threads = 4;
   select_cfg.min_parallel_piece = 1024;
@@ -398,8 +376,7 @@ TEST(MorselRace, ParallelSelectsRaceWorkerRefinement) {
   std::atomic<bool> stop{false};
   std::thread refiner([&] {
     Rng wrng(7);
-    CrackConfig worker_cfg;
-    worker_cfg.algo = CrackAlgo::kSimd;
+    const CrackConfig worker_cfg;  // single-threaded SIMD cracks
     while (!stop.load(std::memory_order_acquire)) {
       col.TryRefineAt(static_cast<int64_t>(wrng.Below(1u << 20)), worker_cfg);
     }

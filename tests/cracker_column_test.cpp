@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "cracking/cracker_column.h"
+#include "obs/metrics.h"
 #include "test_support.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace holix {
 namespace {
@@ -243,19 +245,26 @@ TEST(CrackerColumn, PieceSizesSumToColumnSize) {
   EXPECT_EQ(sizes.size(), col.NumPieces());
 }
 
-/// Property sweep: every kernel choice must produce identical select
-/// results on identical query sequences.
-class KernelEquivalenceTest : public ::testing::TestWithParam<CrackAlgo> {};
+/// Property sweep over the select path's thread count: 1 thread cracks
+/// with the SIMD kernel, 4 threads take the morsel-parallel kernel for
+/// pieces of at least min_parallel_piece rows. Both must answer every query
+/// like the naive scan and leave every boundary at #{x : x < w} — the same
+/// counts and the same ExportBoundaries() for any thread count.
+class KernelEquivalenceTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(KernelEquivalenceTest, MatchesNaiveOverRandomQueries) {
-  const auto base = MakeUniform(20000, 1u << 18, 21);
+  const size_t threads = GetParam();
+  const auto base = MakeUniform(size_t{1} << 17, 1u << 18, 21);
   CrackerColumn<int64_t> col("a", base);
   ThreadPool pool(4);
   CrackConfig cfg;
-  cfg.algo = GetParam();
   cfg.pool = &pool;
-  cfg.parallel_threads = 4;
-  cfg.min_parallel_piece = 1024;
+  cfg.parallel_threads = threads;
+  ASSERT_GE(base.size(), 2 * cfg.min_parallel_piece);
+  obs::Counter& morsels =
+      obs::MetricsRegistry::Global().GetCounter("holix_crack_morsels_total");
+  const uint64_t morsels_before = morsels.Value();
+  std::map<int64_t, size_t> expected_boundaries;
   Rng rng(31337);
   for (int i = 0; i < 120; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(1u << 18));
@@ -263,14 +272,25 @@ TEST_P(KernelEquivalenceTest, MatchesNaiveOverRandomQueries) {
     ASSERT_EQ(col.SelectRange(lo, lo + width, cfg).size(),
               NaiveCount(base, lo, lo + width))
         << "query " << i;
+    for (const int64_t w : {lo, lo + width}) {
+      expected_boundaries[w] =
+          static_cast<size_t>(std::count_if(base.begin(), base.end(),
+                                            [&](int64_t x) { return x < w; }));
+    }
   }
   EXPECT_TRUE(col.CheckInvariants());
+  const std::vector<std::pair<int64_t, size_t>> expected(
+      expected_boundaries.begin(), expected_boundaries.end());
+  EXPECT_EQ(col.ExportBoundaries(), expected);
+  if (threads > 1) {
+    EXPECT_GT(morsels.Value(), morsels_before) << "no morsel-parallel crack";
+  } else {
+    EXPECT_EQ(morsels.Value(), morsels_before);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKernels, KernelEquivalenceTest,
-                         ::testing::Values(CrackAlgo::kScalar,
-                                           CrackAlgo::kOutOfPlace,
-                                           CrackAlgo::kParallel));
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, KernelEquivalenceTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 }  // namespace
 }  // namespace holix

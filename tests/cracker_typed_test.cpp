@@ -4,13 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "cracking/cracker_column.h"
 #include "cracking/cracker_index.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace holix {
 namespace {
@@ -102,6 +106,37 @@ TYPED_TEST(TypedCrackerTest, RippleInsertTyped) {
   EXPECT_TRUE(col.CheckInvariants());
 }
 
+TYPED_TEST(TypedCrackerTest, SelectInsideOnePieceCracksTwice) {
+  // Every crack is a two-way partition: a select whose bounds share one
+  // piece cracks at low, then at high — two kernel calls, two boundaries,
+  // each at #{x : x < bound}.
+  using T = TypeParam;
+  const auto base = this->MakeUniform(40000, 1 << 16, 5);
+  CrackerColumn<T> col("a", base);
+  obs::Counter& cracks =
+      obs::MetricsRegistry::Global().GetCounter("holix_cracks_total");
+  auto below = [&](T w) {
+    return static_cast<size_t>(std::count_if(
+        base.begin(), base.end(), [&](T x) { return KeyTraits<T>::Less(x, w); }));
+  };
+  auto check_select = [&](T lo, T hi) {
+    const uint64_t before = cracks.Value();
+    const PositionRange r = col.SelectRange(lo, hi);
+    EXPECT_EQ(cracks.Value(), before + 2) << "[" << lo << ", " << hi << ")";
+    EXPECT_EQ(r.begin, below(lo));
+    EXPECT_EQ(r.end, below(hi));
+  };
+  check_select(static_cast<T>(1000), static_cast<T>(3000));  // uncracked
+  check_select(static_cast<T>(40000), static_cast<T>(50000));  // top piece
+  check_select(static_cast<T>(1500), static_cast<T>(2500));  // inner piece
+  std::vector<std::pair<T, size_t>> expected;
+  for (const int w : {1000, 1500, 2500, 3000, 40000, 50000}) {
+    expected.emplace_back(static_cast<T>(w), below(static_cast<T>(w)));
+  }
+  EXPECT_EQ(col.ExportBoundaries(), expected);
+  EXPECT_TRUE(col.CheckInvariants());
+}
+
 // --- double-only total-order semantics at the cracking layer -------------
 
 TEST(DoubleCrackerSemantics, SpecialKeysOrderAndSelect) {
@@ -123,20 +158,37 @@ TEST(DoubleCrackerSemantics, SpecialKeysOrderAndSelect) {
 }
 
 TEST(DoubleCrackerSemantics, NaNRowsNeverWedgeTheKernels) {
-  // A column salted with NaNs must crack to a consistent piece structure
-  // with every kernel (with raw `<` the Hoare kernel would spin or tear).
-  Rng rng(7);
-  std::vector<double> base(20000);
+  // A column salted with NaNs must crack to the same consistent piece
+  // structure on every kernel path — 1 thread (SIMD), 4 threads
+  // (morsel-parallel) and a payload-aligned column (the scalar Hoare
+  // kernel, which with raw `<` would spin or tear).
+  Rng data_rng(7);
+  std::vector<double> base(size_t{1} << 17);
   for (size_t i = 0; i < base.size(); ++i) {
-    base[i] = (i % 97 == 0) ? std::numeric_limits<double>::quiet_NaN()
-                            : static_cast<double>(rng.Below(1 << 16)) + 0.25;
+    base[i] = (i % 97 == 0)
+                  ? std::numeric_limits<double>::quiet_NaN()
+                  : static_cast<double>(data_rng.Below(1 << 16)) + 0.25;
   }
   const size_t nans = (base.size() + 96) / 97;
-  for (CrackAlgo algo :
-       {CrackAlgo::kScalar, CrackAlgo::kOutOfPlace, CrackAlgo::kParallel}) {
+  ThreadPool pool(4);
+  struct Path {
+    size_t threads;
+    bool payload;
+  };
+  std::vector<size_t> reference_counts;
+  std::vector<std::pair<double, size_t>> reference_boundaries;
+  for (const Path path : {Path{1, false}, Path{4, false}, Path{1, true}}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << path.threads
+                                      << " payload=" << path.payload);
     CrackerColumn<double> col("d", base);
+    if (path.payload) {
+      col.AttachPayload(std::vector<int64_t>(base.size(), 0));
+    }
     CrackConfig cfg;
-    cfg.algo = algo;
+    cfg.pool = &pool;
+    cfg.parallel_threads = path.threads;
+    Rng rng(11);
+    std::vector<size_t> counts;
     for (int i = 0; i < 60; ++i) {
       const double lo = static_cast<double>(rng.Below(1 << 16));
       const double hi = lo + 1.0 + static_cast<double>(rng.Below(1 << 12));
@@ -144,14 +196,22 @@ TEST(DoubleCrackerSemantics, NaNRowsNeverWedgeTheKernels) {
       for (double x : base) {
         if (!(x != x) && x >= lo && x < hi) ++naive;
       }
-      ASSERT_EQ(col.SelectRange(lo, hi, cfg).size(), naive);
+      counts.push_back(col.SelectRange(lo, hi, cfg).size());
+      ASSERT_EQ(counts.back(), naive) << "query " << i;
     }
     // All NaNs sit in the closed tail above +inf.
     EXPECT_EQ(col.SelectRangeClosed(std::numeric_limits<double>::infinity(),
-                                    KeyTraits<double>::Highest())
+                                    KeyTraits<double>::Highest(), cfg)
                   .size(),
               nans);
     EXPECT_TRUE(col.CheckInvariants());
+    if (reference_counts.empty()) {
+      reference_counts = counts;
+      reference_boundaries = col.ExportBoundaries();
+    } else {
+      EXPECT_EQ(counts, reference_counts);
+      EXPECT_EQ(col.ExportBoundaries(), reference_boundaries);
+    }
   }
 }
 
