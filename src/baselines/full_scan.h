@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "storage/column.h"
@@ -17,19 +19,14 @@
 
 namespace holix {
 
-/// Counts values in [low, high) — or [low, high] when \p closed_high — by
-/// scanning \p data in parallel shards. The closed bound exists so callers
-/// can select up to max(T) inclusive, which the exclusive form cannot
-/// express without overflowing.
+/// Counts values in [low, high) — an absent \p high is the open top — by
+/// scanning \p data in parallel shards. (\p high takes no part in deducing
+/// T, so a plain T converts.)
 template <typename T>
-size_t ParallelScanCount(const T* data, size_t n, T low, T high,
-                         ThreadPool& pool, size_t threads,
-                         bool closed_high = false) {
-  const auto hit = [low, high, closed_high](T v) {
-    return !KeyTraits<T>::Less(v, low) &&
-           (closed_high ? !KeyTraits<T>::Less(high, v)
-                        : KeyTraits<T>::Less(v, high));
-  };
+size_t ParallelScanCount(const T* data, size_t n, T low,
+                         std::type_identity_t<std::optional<T>> high,
+                         ThreadPool& pool, size_t threads) {
+  const auto hit = [low, high](T v) { return InRange(v, low, high); };
   threads = std::max<size_t>(1, std::min(threads, pool.size() + 1));
   if (threads <= 1 || n < (1u << 14)) {
     size_t count = 0;
@@ -50,17 +47,13 @@ size_t ParallelScanCount(const T* data, size_t n, T low, T high,
   return total;
 }
 
-/// Materializes the positions of values in [low, high) — or [low, high]
-/// when \p closed_high — in row order.
+/// Materializes the positions of values in [low, high) — an absent \p
+/// high is the open top — in row order.
 template <typename T>
-PositionList ParallelScanSelect(const T* data, size_t n, T low, T high,
-                                ThreadPool& pool, size_t threads,
-                                bool closed_high = false) {
-  const auto hit = [low, high, closed_high](T v) {
-    return !KeyTraits<T>::Less(v, low) &&
-           (closed_high ? !KeyTraits<T>::Less(high, v)
-                        : KeyTraits<T>::Less(v, high));
-  };
+PositionList ParallelScanSelect(const T* data, size_t n, T low,
+                                std::type_identity_t<std::optional<T>> high,
+                                ThreadPool& pool, size_t threads) {
+  const auto hit = [low, high](T v) { return InRange(v, low, high); };
   threads = std::max<size_t>(1, std::min(threads, pool.size() + 1));
   if (threads <= 1 || n < (1u << 14)) {
     PositionList out;

@@ -134,20 +134,6 @@ namespace simd_internal {
 /// valid slot.
 inline constexpr size_t kLanePad = 16;
 
-/// HOLIX_SCRATCH_PREFAULT=<bytes>: floor for per-thread scratch sizing, so
-/// steady-state cracks never grow (and re-fault) scratch mid-query. The
-/// resize itself value-initializes, i.e. touches every page — combined with
-/// pinned workers (HOLIX_PIN_THREADS) first-touch places the pages on the
-/// worker's own NUMA node.
-inline size_t ScratchPrefaultBytes() {
-  static const size_t bytes = []() -> size_t {
-    const char* env = std::getenv("HOLIX_SCRATCH_PREFAULT");
-    if (env == nullptr || *env == '\0') return 0;
-    return std::strtoull(env, nullptr, 10);
-  }();
-  return bytes;
-}
-
 /// The forward high-side output stream carved out of one CrackScratch.
 /// (Lows are compressed directly into the column; see the file comment.)
 template <typename T>
@@ -160,10 +146,7 @@ template <typename T>
 Streams<T> PrepareStreams(CrackScratch<T>& scratch, size_t n) {
   // + kLanePad garbage slop, + one cache line of alignment slack: the
   // bounce-buffer flushes below store 64-byte-aligned blocks.
-  size_t need = n + kLanePad + 64 / sizeof(T);
-  const size_t floor_elems =
-      ScratchPrefaultBytes() / (sizeof(T) + sizeof(RowId));
-  need = std::max(need, floor_elems);
+  const size_t need = n + kLanePad + 64 / sizeof(T);
   if (scratch.values.size() < need) {
     scratch.values.resize(need);
     scratch.rowids.resize(need);

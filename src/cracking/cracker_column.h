@@ -131,14 +131,19 @@ class CrackerColumn {
   // ---------------------------------------------------------------------
 
   /// Range select: returns the contiguous positions whose values lie in
-  /// [low, high). Cracks at both bounds as a side effect; merges pending
-  /// updates overlapping the range first (Ripple, [28]). The positions stay
-  /// valid only until the next Ripple merge shifts rows; \p layout, when
-  /// given, receives the layout they were computed in (see ScanRangeAt).
-  PositionRange SelectRange(T low, T high, const CrackConfig& cfg = {},
+  /// [low, high), where an absent \p high is the open top of the order
+  /// (max(T) for integers, the NaN key for doubles, which no exclusive bound
+  /// can reach). Cracks at both bounds as a side effect — at \p low only
+  /// for the open top, whose rows run to the end of the column; merges
+  /// pending updates overlapping the range first (Ripple, [28]). The
+  /// positions stay valid only until the next Ripple merge shifts rows;
+  /// \p layout, when given, receives the layout they were computed in (see
+  /// ScanRangeAt).
+  PositionRange SelectRange(T low, std::optional<T> high,
+                            const CrackConfig& cfg = {},
                             uint64_t* layout = nullptr) {
     stats_.accesses.fetch_add(1, std::memory_order_relaxed);
-    if (!KeyTraits<T>::Less(low, high)) return {0, 0};
+    if (high && !KeyTraits<T>::Less(low, *high)) return {0, 0};
     // Merge before the emptiness check: a column loaded empty can still
     // have pending inserts in range, and they must become visible here.
     MergePendingInRange(low, high);
@@ -151,9 +156,9 @@ class CrackerColumn {
     // Exact hit: both bounds already are boundaries -> no reorganization.
     {
       std::shared_lock<std::shared_mutex> lk(tree_mu_);
-      if (index_.HasBoundary(low) && index_.HasBoundary(high)) {
+      if (index_.HasBoundary(low) && (!high || index_.HasBoundary(*high))) {
         const size_t b = index_.FindPiece(low, size()).begin;
-        const size_t e = index_.FindPiece(high, size()).begin;
+        const size_t e = high ? index_.FindPiece(*high, size()).begin : size();
         stats_.exact_hits.fetch_add(1, std::memory_order_relaxed);
         return {b, e};
       }
@@ -162,39 +167,8 @@ class CrackerColumn {
     // vectorized kernels beat a scalar three-way pass, and the second crack
     // only touches the piece that holds `high` after the first.
     const size_t b = CrackAtBlocking(low, cfg);
-    const size_t e = CrackAtBlocking(high, cfg);
+    const size_t e = high ? CrackAtBlocking(*high, cfg) : size();
     return {b, e};
-  }
-
-  /// Range select over the closed interval [low, high]: the form that can
-  /// reach the total-order maximum (max(T) for integers, the NaN key for
-  /// doubles), which SelectRange's exclusive high cannot express. Away from
-  /// the order's top this is exactly SelectRange(low, Next(high)); at
-  /// high == Highest() it cracks the low bound only and the qualifying
-  /// rows run to the end of the column.
-  PositionRange SelectRangeClosed(T low, T high, const CrackConfig& cfg = {},
-                                  uint64_t* layout = nullptr) {
-    if (!KeyTraits<T>::IsHighest(high)) {
-      return SelectRange(low, KeyTraits<T>::Next(high), cfg, layout);
-    }
-    stats_.accesses.fetch_add(1, std::memory_order_relaxed);
-    if (KeyTraits<T>::Less(high, low)) return {0, 0};
-    MergePendingAtLeast(low);
-    if (size() == 0) return {0, 0};
-    ReadGuard column_guard(column_latch_);
-    if (layout != nullptr) {
-      *layout = layout_epoch_.load(std::memory_order_relaxed);
-    }
-    {
-      std::shared_lock<std::shared_mutex> lk(tree_mu_);
-      if (index_.HasBoundary(low)) {
-        const size_t b = index_.FindPiece(low, size()).begin;
-        stats_.exact_hits.fetch_add(1, std::memory_order_relaxed);
-        return {b, size()};
-      }
-    }
-    const size_t b = CrackAtBlocking(low, cfg);
-    return {b, size()};
   }
 
   /// Cracks at a single bound (blocking); returns the first position whose
@@ -320,17 +294,6 @@ class CrackerColumn {
     return true;
   }
 
-  /// Sum of values in \p range (a cheap aggregate used by benchmarks to
-  /// force result consumption). Accumulates in the key type's Sum type:
-  /// int64 for integer keys, double for double keys.
-  typename KeyTraits<T>::Sum SumRange(PositionRange range) const {
-    typename KeyTraits<T>::Sum sum = 0;
-    ScanRange(range, [&](T v, RowId) {
-      sum += static_cast<typename KeyTraits<T>::Sum>(v);
-    });
-    return sum;
-  }
-
   /// Unsynchronized value access. Callers must guarantee quiescence (tests,
   /// single-threaded tools); concurrent cracks may reorder rows under you.
   T ValueAtUnsafe(size_t pos) const { return values_[pos]; }
@@ -346,8 +309,9 @@ class CrackerColumn {
   // ---------------------------------------------------------------------
 
   /// Merges every pending insert/delete whose value lies in [low, high)
-  /// into the cracker column without invalidating any boundary.
-  void MergePendingInRange(T low, T high) {
+  /// (an absent \p high is the open top) into the cracker column without
+  /// invalidating any boundary.
+  void MergePendingInRange(T low, std::optional<T> high) {
     // Cheap peek outside the column latch: long-lived out-of-range
     // entries must not force every select onto the exclusive path.
     if (!pending_.AnyInRange(low, high)) return;
@@ -361,38 +325,25 @@ class CrackerColumn {
                      pending_.TakeDeletesInRange(low, high));
   }
 
-  /// Merges every pending insert/delete whose value is >= \p low (the
-  /// closed tail [low, max(T)] that MergePendingInRange cannot express).
-  void MergePendingAtLeast(T low) {
-    if (!pending_.AnyAtLeast(low)) return;
-    WriteGuard column_guard(column_latch_);
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    ApplyTakenLocked(pending_.TakeInsertsAtLeast(low),
-                     pending_.TakeDeletesAtLeast(low));
-  }
-
-  /// Piece-resolution cardinality estimate for [low, high) — or
-  /// [low, high] with \p closed_high — used by the multi-predicate planner
-  /// to order conjuncts by selectivity. Never cracks and never merges
-  /// pending updates: it reads the existing boundary tree only, returning
-  /// the span from the start of the piece containing \p low to the end of
-  /// the piece containing \p high (an upper bound that tightens as the
-  /// index refines; exact once both bounds are boundaries).
-  size_t EstimateRange(T low, T high, bool closed_high = false) const {
+  /// Piece-resolution cardinality estimate for [low, high), used by the
+  /// multi-predicate planner to order conjuncts by selectivity. Never
+  /// cracks and never merges pending updates: it reads the existing
+  /// boundary tree only, returning the span from the start of the piece
+  /// containing \p low to the end of the piece containing \p high — or
+  /// to the end of the column for the open top (an upper bound that
+  /// tightens as the index refines; exact once both bounds are boundaries).
+  size_t EstimateRange(T low, std::optional<T> high) const {
     ReadGuard column_guard(column_latch_);
     std::shared_lock<std::shared_mutex> lk(tree_mu_);
     const size_t n = size();
     if (n == 0) return 0;
-    const PieceRef<T> lo_piece = index_.FindPiece(low, n);
-    const size_t begin = lo_piece.begin;
-    size_t end;
-    if (closed_high && KeyTraits<T>::IsHighest(high)) {
-      end = n;  // the closed tail runs to the end of the column
-    } else {
-      const PieceRef<T> hi_piece = index_.FindPiece(high, n);
+    const size_t begin = index_.FindPiece(low, n).begin;
+    size_t end = n;
+    if (high) {
+      const PieceRef<T> hi_piece = index_.FindPiece(*high, n);
       // An exact boundary at the exclusive high makes the estimate exact
-      // on that side; a closed high may extend into the next piece.
-      end = (hi_piece.exact && !closed_high) ? hi_piece.begin : hi_piece.end;
+      // on that side.
+      end = hi_piece.exact ? hi_piece.begin : hi_piece.end;
     }
     return end > begin ? end - begin : 0;
   }
@@ -636,15 +587,8 @@ class CrackerColumn {
       lo_v = piece.lo_value;
       hi_v = piece.hi_value;
     }
-    const T low = lo_v.value_or(KeyTraits<T>::Lowest());
-    if (hi_v.has_value()) {
-      MergePendingInRange(low, *hi_v);
-    } else {
-      // Tail piece: the closed tail [low, Highest()] — an exclusive high
-      // cannot express the order's top, and an approximation would leave a
-      // pending row holding exactly the maximum key unmerged.
-      MergePendingAtLeast(low);
-    }
+    // The tail piece has no upper boundary: it runs through the top.
+    MergePendingInRange(lo_v.value_or(KeyTraits<T>::Lowest()), hi_v);
   }
 
   /// Ripple-inserts (v, rid), keeping every boundary valid. The caller

@@ -205,7 +205,7 @@ DurableDatabaseState Database::ExportDurableState(
         // Drain the queues into the cracker first, so the appended /
         // deleted-base registries carry the column's full update history
         // and recovery has nothing queue-shaped to reconstruct.
-        cracker->MergePendingAtLeast(KT::Lowest());
+        cracker->MergePendingInRange(KT::Lowest(), std::nullopt);
         cs.has_cracker = true;
         for (const auto& [rid, v] : cracker->pending().AppendedEntries()) {
           cs.appended.emplace_back(rid, KT::ToRank(v));
@@ -293,18 +293,6 @@ void Database::BeginRestore(const DurableDatabaseState& state) {
   RaiseRowIdFloor(state.next_rowid);
 }
 
-void Database::ApplyLoggedInsert(const std::string& table,
-                                 const std::string& column, ValueType type,
-                                 uint64_t rank, RowId rid) {
-  ApplyLoggedUpdate(WalOp::kInsert, table, column, type, rank, rid);
-}
-
-void Database::ApplyLoggedDelete(const std::string& table,
-                                 const std::string& column, ValueType type,
-                                 uint64_t rank, RowId rid) {
-  ApplyLoggedUpdate(WalOp::kDelete, table, column, type, rank, rid);
-}
-
 void Database::ApplyLoggedUpdate(WalOp op, const std::string& table,
                                  const std::string& column, ValueType type,
                                  uint64_t rank, RowId rid) {
@@ -362,7 +350,7 @@ RestoreTimings Database::FinishRestore(const DurableDatabaseState& state) {
       // column. Ripple keeps every boundary at #{x : x < w} over the final
       // multiset, so positions equal those of merging first.
       Timer merge;
-      cracker->MergePendingAtLeast(KT::Lowest());
+      cracker->MergePendingInRange(KT::Lowest(), std::nullopt);
       timings.merge_seconds += merge.ElapsedSeconds();
       // Life counters restore LAST: the re-cracks and the merge above
       // ticked them.

@@ -119,9 +119,9 @@ class Database {
                const QueryContext& qctx = {});
 
   /// Pending-queue delete of one row holding \p value. Resolves the row via
-  /// the closed unit select [value, value], so any representable value —
-  /// including the element type's maximum — is deletable. \return true when
-  /// a matching row was found.
+  /// the unit select [value, Next(value)) — the open top at the element
+  /// type's maximum — so any representable value, including that maximum,
+  /// is deletable. \return true when a matching row was found.
   bool Delete(const ColumnHandle& column, KeyScalar value,
               const QueryContext& qctx = {});
 
@@ -167,14 +167,12 @@ class Database {
   /// when the database already holds tables.
   void BeginRestore(const DurableDatabaseState& state);
 
-  /// Recovery step 2 (per WAL record): re-applies a logged insert exactly —
-  /// same value (rank image), same rowid.
-  void ApplyLoggedInsert(const std::string& table, const std::string& column,
-                         ValueType type, uint64_t rank, RowId rid);
-  /// Recovery step 2 (per WAL record): re-applies a logged delete of the
-  /// exact row the original call removed.
-  void ApplyLoggedDelete(const std::string& table, const std::string& column,
-                         ValueType type, uint64_t rank, RowId rid);
+  /// Recovery step 2 (per WAL record): re-applies a logged insert or
+  /// delete exactly — same value (rank image), same rowid, so a delete
+  /// removes the exact row the original call removed.
+  void ApplyLoggedUpdate(WalOp op, const std::string& table,
+                         const std::string& column, ValueType type,
+                         uint64_t rank, RowId rid);
 
   /// Recovery step 3: re-cracks each restored cracker at its saved pivots
   /// in median-first order (sorted pivots, crack at the middle one, recurse
@@ -225,11 +223,6 @@ class Database {
 
  private:
   void RaiseRowIdFloor(uint64_t rows);
-
-  /// Typed core of ApplyLoggedInsert/ApplyLoggedDelete.
-  void ApplyLoggedUpdate(WalOp op, const std::string& table,
-                         const std::string& column, ValueType type,
-                         uint64_t rank, RowId rid);
 
   DatabaseOptions options_;
   Catalog catalog_;

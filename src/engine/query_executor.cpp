@@ -41,33 +41,30 @@ double DoubleAtLeast(int64_t v) {
 }
 
 /// Query bounds arrive as KeyScalars at the facade; the typed path clamps
-/// them into the column type's domain. When the (exclusive) high cannot be
-/// expressed inside the type — an int64 high beyond max(T), or the double
-/// NaN key, which is the double order's maximum — the range degrades to
-/// the *closed* bound [lo, Highest]: every value of the type up to and
-/// including the order's top satisfies the original predicate, and the
-/// typed select machinery runs its closed-bound primitive, so a row
-/// holding exactly max(T) (or the NaN key) stays selectable.
+/// them into the column type's domain as one half-open range [lo, hi). An
+/// exclusive high that no key of the type reaches — an int64 high beyond
+/// max(T), or the double NaN key, which is the double order's maximum —
+/// becomes the open top (hi absent): the range runs through the order's
+/// top, so a row holding exactly max(T) (or the NaN key) stays selectable.
 template <typename T>
 struct Bounds {
   T lo{};
-  T hi{};
+  std::optional<T> hi;  ///< Exclusive; nullopt = through the top.
   bool empty = false;
-  bool closed_high = false;  ///< Select [lo, hi] instead of [lo, hi).
 };
 
-/// Smallest key of integer type T that is >= the scalar bound \p lo
+/// Smallest key of integer type T that is >= the scalar bound \p b
 /// (exact for both carriers); nullopt when the bound sits above all of T.
 template <typename T>
-std::optional<T> IntFirstAtLeast(KeyScalar lo) {
+std::optional<T> IntFirstAtLeast(KeyScalar b) {
   constexpr T tmin = std::numeric_limits<T>::min();
   constexpr T tmax = std::numeric_limits<T>::max();
-  if (!lo.is_f64()) {
-    if (lo.i > static_cast<int64_t>(tmax)) return std::nullopt;
-    if (lo.i < static_cast<int64_t>(tmin)) return tmin;
-    return static_cast<T>(lo.i);
+  if (!b.is_f64()) {
+    if (b.i > static_cast<int64_t>(tmax)) return std::nullopt;
+    if (b.i < static_cast<int64_t>(tmin)) return tmin;
+    return static_cast<T>(b.i);
   }
-  const double d = lo.d;
+  const double d = b.d;
   if (std::isnan(d)) return std::nullopt;  // the order's top: above all of T
   if (d <= static_cast<double>(tmin)) return tmin;
   const double cl = std::ceil(d);
@@ -75,36 +72,6 @@ std::optional<T> IntFirstAtLeast(KeyScalar lo) {
   // would round UP to this for int64 and mis-compare).
   if (cl >= std::ldexp(1.0, sizeof(T) * 8 - 1)) return std::nullopt;
   return static_cast<T>(cl);
-}
-
-/// Largest key of integer type T that is < the scalar bound \p hi (exact
-/// for both carriers; a bound above T's range — including the double NaN
-/// key — degrades to max(T), the closed-bound upgrade); nullopt when the
-/// bound sits at or below all of T.
-template <typename T>
-std::optional<T> IntLastBelow(KeyScalar hi) {
-  constexpr T tmin = std::numeric_limits<T>::min();
-  constexpr T tmax = std::numeric_limits<T>::max();
-  if (!hi.is_f64()) {
-    if (hi.i > static_cast<int64_t>(tmax)) return tmax;
-    if (hi.i <= static_cast<int64_t>(tmin)) return std::nullopt;
-    return static_cast<T>(hi.i - 1);
-  }
-  const double d = hi.d;
-  if (std::isnan(d) || d >= std::ldexp(1.0, sizeof(T) * 8 - 1)) {
-    return tmax;  // every key of T lies below the bound
-  }
-  if (d <= static_cast<double>(tmin)) return std::nullopt;
-  const double fl = std::floor(d);
-  const T f = static_cast<T>(fl);  // fl in [tmin, 2^(w-1)) -> exact cast
-  if (fl == d) {
-    // Integral exclusive high: the largest admissible key is d - 1,
-    // computed in T (a double subtraction would round back up once the
-    // ulp exceeds 1).
-    if (f == tmin) return std::nullopt;
-    return static_cast<T>(f - 1);
-  }
-  return f;
 }
 
 /// One scalar bound as an exact double key: int64 carriers go through
@@ -116,32 +83,27 @@ double DoubleBound(KeyScalar s) {
 }
 
 /// Clamps a KeyScalar bound pair into column type T's domain. Each bound
-/// converts independently with exact semantics (mixed carriers included),
-/// and an exclusive high that cannot be expressed inside T — above max(T),
-/// or the double NaN key — degrades to the closed form.
+/// converts independently with exact semantics (mixed carriers included);
+/// an exclusive high that cannot be expressed inside T opens the top.
 template <typename T>
 Bounds<T> ClampBounds(KeyScalar lo, KeyScalar hi) {
   if constexpr (std::is_same_v<T, double>) {
     using KT = KeyTraits<double>;
     const double lo_d = DoubleBound(lo);
     const double hi_d = DoubleBound(hi);
-    if (KT::IsHighest(hi_d)) {
-      // Exclusive high at the order's top: degrade to the closed tail,
-      // mirroring the integer facade at max(T). [NaN, NaN] therefore
-      // selects exactly the rows holding the NaN key.
-      return {KT::IsHighest(lo_d) ? KT::Highest() : lo_d, KT::Highest(),
-              false, true};
-    }
-    if (!KT::Less(lo_d, hi_d)) return {0.0, 0.0, true, false};
-    return {lo_d, hi_d, false, false};
+    // An exclusive high at the order's top opens the range, mirroring the
+    // integer clamp beyond max(T): [NaN, NaN) therefore selects exactly the
+    // rows holding the NaN key.
+    if (KT::IsHighest(hi_d)) return {lo_d, std::nullopt, false};
+    if (!KT::Less(lo_d, hi_d)) return {0.0, 0.0, true};
+    return {lo_d, hi_d, false};
   } else {
+    // The first key >= the bound serves both ends: for the exclusive high,
+    // "no such key" means every key of T lies below it — the open top.
     const std::optional<T> lo_t = IntFirstAtLeast<T>(lo);
-    const std::optional<T> hi_t = IntLastBelow<T>(hi);
-    if (!lo_t || !hi_t || *lo_t > *hi_t) return {T{}, T{}, true, false};
-    // Integer clamps always use the closed form [lo_t, hi_t]; away from
-    // max(T) the select machinery turns it straight back into the
-    // identical half-open [lo_t, hi_t + 1).
-    return {*lo_t, *hi_t, false, true};
+    const std::optional<T> hi_t = IntFirstAtLeast<T>(hi);
+    if (!lo_t || (hi_t && !(*lo_t < *hi_t))) return {T{}, std::nullopt, true};
+    return {*lo_t, hi_t, false};
   }
 }
 
@@ -354,18 +316,10 @@ class ExecutorBase : public QueryExecutor {
     return fresh;
   }
 
-  /// Sorted-index range of \p b (closed or half-open high).
-  template <typename T>
-  static PositionRange SortedSelect(const SortedIndex<T>& sorted,
-                                    const Bounds<T>& b) {
-    return b.closed_high ? sorted.SelectRangeClosed(b.lo, b.hi)
-                         : sorted.SelectRange(b.lo, b.hi);
-  }
-
   template <typename T>
   typename KeyTraits<T>::Sum SortedSum(const SortedIndex<T>& sorted,
                                        const Bounds<T>& b) const {
-    const PositionRange r = SortedSelect(sorted, b);
+    const PositionRange r = sorted.SelectRange(b.lo, b.hi);
     typename KeyTraits<T>::Sum sum = 0;
     for (size_t i = r.begin; i < r.end; ++i) {
       sum += static_cast<typename KeyTraits<T>::Sum>(sorted.ValueAt(i));
@@ -377,8 +331,7 @@ class ExecutorBase : public QueryExecutor {
   size_t ScanCount(ColumnEntry& e, const Bounds<T>& b) const {
     const Column<T>& base = *e.runtime<T>().base;
     return ParallelScanCount(base.data(), base.size(), b.lo, b.hi,
-                             *ctx_.query_pool, ctx_.options->user_threads,
-                             b.closed_high);
+                             *ctx_.query_pool, ctx_.options->user_threads);
   }
 
   template <typename T>
@@ -388,11 +341,9 @@ class ExecutorBase : public QueryExecutor {
     const T* data = base.data();
     typename KeyTraits<T>::Sum sum = 0;
     for (size_t i = 0; i < base.size(); ++i) {
-      const bool hit =
-          !KeyTraits<T>::Less(data[i], b.lo) &&
-          (b.closed_high ? !KeyTraits<T>::Less(b.hi, data[i])
-                         : KeyTraits<T>::Less(data[i], b.hi));
-      if (hit) sum += static_cast<typename KeyTraits<T>::Sum>(data[i]);
+      if (InRange(data[i], b.lo, b.hi)) {
+        sum += static_cast<typename KeyTraits<T>::Sum>(data[i]);
+      }
     }
     return sum;
   }
@@ -401,8 +352,7 @@ class ExecutorBase : public QueryExecutor {
   PositionList ScanSelect(ColumnEntry& e, const Bounds<T>& b) const {
     const Column<T>& base = *e.runtime<T>().base;
     return ParallelScanSelect(base.data(), base.size(), b.lo, b.hi,
-                              *ctx_.query_pool, ctx_.options->user_threads,
-                              b.closed_high);
+                              *ctx_.query_pool, ctx_.options->user_threads);
   }
 
   // --- Multi-predicate planning ------------------------------------------
@@ -477,10 +427,10 @@ class ExecutorBase : public QueryExecutor {
       if (b.empty) return 0;
       auto& rt = e.runtime<T>();
       if (auto c = rt.cracker.load(std::memory_order_acquire)) {
-        return c->EstimateRange(b.lo, b.hi, b.closed_high);
+        return c->EstimateRange(b.lo, b.hi);
       }
       if (auto s = rt.sorted.load(std::memory_order_acquire)) {
-        return SortedSelect(*s, b).size();
+        return s->SelectRange(b.lo, b.hi).size();
       }
       const size_t n = rt.base->size();
       if (n == 0) return 0;
@@ -494,10 +444,9 @@ class ExecutorBase : public QueryExecutor {
       const double span = rank_max - rank_min + 1.0;
       const double lo_r =
           std::max(static_cast<double>(KT::ToRank(b.lo)), rank_min);
+      const double top = rank_max + 1.0;
       const double hi_r =
-          std::min(static_cast<double>(KT::ToRank(b.hi)) +
-                       (b.closed_high ? 1.0 : 0.0),
-                   rank_max + 1.0);
+          b.hi ? std::min(static_cast<double>(KT::ToRank(*b.hi)), top) : top;
       if (hi_r <= lo_r) return 0;
       const double est = static_cast<double>(n) * (hi_r - lo_r) / span;
       return est >= static_cast<double>(n) ? n : static_cast<size_t>(est);
@@ -566,11 +515,7 @@ class ExecutorBase : public QueryExecutor {
         } else if (!AppendedValueFor<T>(e, rid, &v)) {
           continue;
         }
-        const bool hit =
-            !KeyTraits<T>::Less(v, b.lo) &&
-            (b.closed_high ? !KeyTraits<T>::Less(b.hi, v)
-                           : KeyTraits<T>::Less(v, b.hi));
-        if (hit) (*cand)[keep++] = rid;
+        if (InRange(v, b.lo, b.hi)) (*cand)[keep++] = rid;
       }
       cand->resize(keep);
     });
@@ -725,7 +670,7 @@ class OfflineExecutor : public ExecutorBase {
     return DispatchIndexableType(e.type(), [&](auto tag) -> size_t {
       using T = typename decltype(tag)::type;
       const Bounds<T> b = ClampBounds<T>(lo, hi);
-      return b.empty ? 0 : SortedSelect(*EnsureSorted<T>(e), b).size();
+      return b.empty ? 0 : EnsureSorted<T>(e)->SelectRange(b.lo, b.hi).size();
     });
   }
 
@@ -749,7 +694,7 @@ class OfflineExecutor : public ExecutorBase {
       const Bounds<T> b = ClampBounds<T>(lo, hi);
       if (b.empty) return {};
       auto sorted = EnsureSorted<T>(e);
-      return sorted->FetchRowIds(SortedSelect(*sorted, b));
+      return sorted->FetchRowIds(sorted->SelectRange(b.lo, b.hi));
     });
   }
 
@@ -782,7 +727,7 @@ class OnlineExecutor : public ExecutorBase {
       if (query_no < ctx_.options->online_observation_window) {
         return ScanCount<T>(e, b);
       }
-      return SortedSelect(*EnsureSorted<T>(e), b).size();
+      return EnsureSorted<T>(e)->SelectRange(b.lo, b.hi).size();
     });
   }
 
@@ -853,17 +798,20 @@ class CrackingExecutor : public ExecutorBase {
       if (!KeyFromScalar<T>(value, &v)) return false;
       auto cracker = EnsureCracker<T>(e, qctx);
       const CrackConfig cfg = QueryCrackConfig(qctx);
-      // Resolve the rowid of one matching row: select the closed unit range
-      // [v, v] (this is itself an index-refining access; the closed form
-      // keeps the type's maximum key deletable) and take the first
-      // qualifying rowid. A concurrent Ripple merge (another client's
+      // Resolve the rowid of one matching row: select the unit range of v
+      // (this is itself an index-refining access; at the order's top it is
+      // the open top, which keeps the type's maximum key deletable) and
+      // take the first qualifying rowid. A concurrent Ripple merge (another client's
       // update, a holistic worker) may shift positions between the select
       // and the read; the scan then visits nothing and the select is
       // repeated, as in SelectScan — giving up would report a present row
       // as absent.
+      using KT = KeyTraits<T>;
+      const std::optional<T> unit_end =
+          KT::IsHighest(v) ? std::nullopt : std::optional<T>(KT::Next(v));
       for (;;) {
         uint64_t layout = 0;
-        const PositionRange r = cracker->SelectRangeClosed(v, v, cfg, &layout);
+        const PositionRange r = cracker->SelectRange(v, unit_end, cfg, &layout);
         if (r.empty()) return false;
         RowId rid = 0;
         if (!cracker->ScanRangeAt({r.begin, r.begin + 1}, layout,
@@ -985,9 +933,7 @@ class CrackingExecutor : public ExecutorBase {
                        uint64_t* layout = nullptr) {
     auto cracker = EnsureCracker<T>(e, qctx);
     const CrackConfig cfg = QueryCrackConfig(qctx);
-    const PositionRange r =
-        b.closed_high ? cracker->SelectRangeClosed(b.lo, b.hi, cfg, layout)
-                      : cracker->SelectRange(b.lo, b.hi, cfg, layout);
+    const PositionRange r = cracker->SelectRange(b.lo, b.hi, cfg, layout);
     AfterSelect(e);
     if (out != nullptr) *out = std::move(cracker);
     return r;

@@ -16,9 +16,11 @@
 /// path clamps each scalar into the column's domain with exact semantics —
 /// an int64 bound against a double column goes through the "smallest
 /// double >= v" conversion, a double bound against an integer column
-/// through exact ceil/floor arithmetic, and an exclusive high at a type's
-/// total-order maximum degrades to the closed bound [lo, Highest] (which is
-/// what keeps rows holding max(T) — or the double NaN key — selectable).
+/// through exact ceil/floor arithmetic. Every layer below takes the one
+/// range form [lo, hi) with an optional hi: an exclusive high that no key
+/// of the type reaches — above max(T), or the double NaN key — becomes the
+/// open top, and the range runs through the type's total-order maximum
+/// (which is what keeps rows holding max(T) — or the NaN key — selectable).
 
 #pragma once
 

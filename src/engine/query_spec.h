@@ -5,8 +5,8 @@
 ///
 /// A QuerySpec names one target table, a *conjunction* of 1..N range
 /// predicates — each `(ColumnHandle, KeyScalar low, KeyScalar high)` with
-/// the engine's usual half-open `[low, high)` semantics and closed-bound
-/// degradation at the total-order top — and one or more result requests
+/// the engine's usual half-open `[low, high)` semantics, a high above every
+/// key being the open top of the order — and one or more result requests
 /// (count, per-column sums, materialized rowids). A one-predicate spec is
 /// the paper's §3.1 select → project → aggregate shape; multi-predicate
 /// specs open the paper's own TPC-H Q6 shape — conjunctive ranges over
@@ -48,7 +48,8 @@ namespace holix {
 
 /// One conjunct: low <= column < high in the column type's total order
 /// (scalar bounds clamp exactly into the column domain; an exclusive high
-/// at the order's top degrades to the closed bound, as everywhere else).
+/// above every key of the column type runs through the order's top, as
+/// everywhere else).
 struct RangePredicate {
   ColumnHandle column;
   KeyScalar low;

@@ -175,13 +175,8 @@ void PersistenceManager::Recover() {
     if (epoch < man.wal_epoch) continue;
     for (const WalRecord& rec : ReadWalFile(WalPath(opts_.data_dir, epoch))) {
       if (rec.lsn <= man.last_lsn) continue;
-      if (rec.op == WalOp::kInsert) {
-        db_.ApplyLoggedInsert(rec.table, rec.column, rec.type, rec.rank,
-                              rec.rowid);
-      } else {
-        db_.ApplyLoggedDelete(rec.table, rec.column, rec.type, rec.rank,
-                              rec.rowid);
-      }
+      db_.ApplyLoggedUpdate(rec.op, rec.table, rec.column, rec.type,
+                            rec.rank, rec.rowid);
       if (rec.lsn > last) last = rec.lsn;
       ++replayed;
     }

@@ -304,8 +304,8 @@ struct ErrorMsg {
 
 /// One wire conjunct of an ExecuteQuery: low <= column < high with typed
 /// scalar bounds (int64 carriers clamp exactly into any column's domain,
-/// double carriers express floating-point predicates; the engine's
-/// closed-bound degradation applies at the order's top).
+/// double carriers express floating-point predicates; a high above every
+/// key of the column type is the open top, as everywhere in the engine).
 struct QueryPredicateWire {
   std::string column;
   KeyScalar low;

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -44,8 +45,9 @@ class PendingUpdates {
   }
 
   /// Extracts (removes and returns) every pending insert whose value lies
-  /// in [low, high).
-  std::vector<std::pair<T, RowId>> TakeInsertsInRange(T low, T high) {
+  /// in [low, high); an absent \p high is the open top of the order.
+  std::vector<std::pair<T, RowId>> TakeInsertsInRange(T low,
+                                                      std::optional<T> high) {
     std::lock_guard<std::mutex> lk(mu_);
     auto taken = TakeRangeLocked(inserts_, low, high);
     if (inserts_.empty()) ins_bounds_.Reset();
@@ -53,51 +55,22 @@ class PendingUpdates {
   }
 
   /// Extracts every pending delete whose value lies in [low, high).
-  std::vector<std::pair<T, RowId>> TakeDeletesInRange(T low, T high) {
+  std::vector<std::pair<T, RowId>> TakeDeletesInRange(T low,
+                                                      std::optional<T> high) {
     std::lock_guard<std::mutex> lk(mu_);
     auto taken = TakeRangeLocked(deletes_, low, high);
     if (deletes_.empty()) del_bounds_.Reset();
     return taken;
   }
 
-  /// Extracts every pending insert whose value is >= \p low (the closed
-  /// tail [low, max(T)], which [low, high) cannot express at high=max(T)).
-  std::vector<std::pair<T, RowId>> TakeInsertsAtLeast(T low) {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto taken = TakeAtLeastLocked(inserts_, low);
-    if (inserts_.empty()) ins_bounds_.Reset();
-    return taken;
-  }
-
-  /// Extracts every pending delete whose value is >= \p low.
-  std::vector<std::pair<T, RowId>> TakeDeletesAtLeast(T low) {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto taken = TakeAtLeastLocked(deletes_, low);
-    if (deletes_.empty()) del_bounds_.Reset();
-    return taken;
-  }
-
-  /// True when any pending insert or delete has value >= \p low.
-  bool AnyAtLeast(T low) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto at_least = [&](const std::pair<T, RowId>& p) {
-      return !KeyTraits<T>::Less(p.first, low);
-    };
-    return (ins_bounds_.any && !KeyTraits<T>::Less(ins_bounds_.max, low) &&
-            std::any_of(inserts_.begin(), inserts_.end(), at_least)) ||
-           (del_bounds_.any && !KeyTraits<T>::Less(del_bounds_.max, low) &&
-            std::any_of(deletes_.begin(), deletes_.end(), at_least));
-  }
-
   /// True when any pending insert or delete may fall in [low, high). Cheap
   /// peek so merge paths can skip exclusive latching when nothing in the
   /// queues concerns their range. Conservative value bounds reject the
   /// common disjoint case in O(1); only overlapping ranges pay the scan.
-  bool AnyInRange(T low, T high) const {
+  bool AnyInRange(T low, std::optional<T> high) const {
     std::lock_guard<std::mutex> lk(mu_);
     auto in_range = [&](const std::pair<T, RowId>& p) {
-      return !KeyTraits<T>::Less(p.first, low) &&
-             KeyTraits<T>::Less(p.first, high);
+      return InRange(p.first, low, high);
     };
     return (ins_bounds_.Overlaps(low, high) &&
             std::any_of(inserts_.begin(), inserts_.end(), in_range)) ||
@@ -168,8 +141,8 @@ class PendingUpdates {
       }
     }
     void Reset() { any = false; }
-    bool Overlaps(T low, T high) const {
-      return any && KeyTraits<T>::Less(min, high) &&
+    bool Overlaps(T low, std::optional<T> high) const {
+      return any && (!high || KeyTraits<T>::Less(min, *high)) &&
              !KeyTraits<T>::Less(max, low);
     }
   };
@@ -183,27 +156,11 @@ class PendingUpdates {
   }
 
   static std::vector<std::pair<T, RowId>> TakeRangeLocked(
-      std::vector<std::pair<T, RowId>>& queue, T low, T high) {
+      std::vector<std::pair<T, RowId>>& queue, T low, std::optional<T> high) {
     std::vector<std::pair<T, RowId>> taken;
     auto keep_end = std::remove_if(
         queue.begin(), queue.end(), [&](const std::pair<T, RowId>& p) {
-          if (!KeyTraits<T>::Less(p.first, low) &&
-              KeyTraits<T>::Less(p.first, high)) {
-            taken.push_back(p);
-            return true;
-          }
-          return false;
-        });
-    queue.erase(keep_end, queue.end());
-    return taken;
-  }
-
-  static std::vector<std::pair<T, RowId>> TakeAtLeastLocked(
-      std::vector<std::pair<T, RowId>>& queue, T low) {
-    std::vector<std::pair<T, RowId>> taken;
-    auto keep_end = std::remove_if(
-        queue.begin(), queue.end(), [&](const std::pair<T, RowId>& p) {
-          if (!KeyTraits<T>::Less(p.first, low)) {
+          if (InRange(p.first, low, high)) {
             taken.push_back(p);
             return true;
           }

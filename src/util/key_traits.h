@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <type_traits>
 
 namespace holix {
@@ -28,7 +29,7 @@ namespace holix {
 ///    interpolation and "successor" arithmetic are well defined for every
 ///    key type;
 ///  * Next(v) is the immediate successor in the total order (precondition:
-///    !IsHighest(v)); SelectRange's closed-bound forms are built on it;
+///    !IsHighest(v)), so [v, Next(v)) is the unit range of the key v;
 ///  * Canonical collapses distinct representations that compare equal
 ///    (identity for integers);
 ///  * Sum is the accumulator type of SumRange over this key type.
@@ -125,5 +126,13 @@ struct KeyTraits<double> {
   /// Precondition: !IsHighest(v).
   static constexpr double Next(double v) { return FromRank(ToRank(v) + 1); }
 };
+
+/// The engine's one range predicate: low <= v < high in the total order,
+/// where an absent \p high is the open top — the range runs through
+/// Highest(), which no exclusive bound can reach.
+template <typename T>
+constexpr bool InRange(T v, T low, std::optional<T> high) {
+  return !KeyTraits<T>::Less(v, low) && (!high || KeyTraits<T>::Less(v, *high));
+}
 
 }  // namespace holix

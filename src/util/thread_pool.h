@@ -7,7 +7,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -17,23 +16,7 @@
 #include <thread>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace holix {
-
-/// Pool-wide options fixed at construction time.
-struct ThreadPoolOptions {
-  /// Pin worker i to cpu (i+1) % hardware_concurrency. The +1 keeps cpu 0
-  /// for the calling thread (which participates in ParallelFor /
-  /// ParallelForMorsels as shard 0). Pinning is the first half of the NUMA
-  /// story: with first-touch allocation, a pinned worker's thread-local
-  /// crack scratch lands on its own node. Best effort — failures (cgroup
-  /// cpusets, non-Linux) are silently ignored.
-  bool pin_threads = false;
-};
 
 /// Per-call result of ParallelForMorsels, for callers that want to export
 /// scheduling metrics (the pool itself stays metrics-free: util cannot
@@ -53,25 +36,12 @@ struct MorselRunStats {
 ///    cracking's morsel scheduler).
 class ThreadPool {
  public:
-  /// Default options: pinning controlled by the HOLIX_PIN_THREADS env var
-  /// (any value other than empty/"0" enables it).
-  static ThreadPoolOptions DefaultOptions() {
-    ThreadPoolOptions opts;
-    const char* env = std::getenv("HOLIX_PIN_THREADS");
-    opts.pin_threads = env != nullptr && env[0] != '\0' && env[0] != '0';
-    return opts;
-  }
-
   /// Starts \p num_threads workers (at least 1).
-  explicit ThreadPool(size_t num_threads)
-      : ThreadPool(num_threads, DefaultOptions()) {}
-
-  ThreadPool(size_t num_threads, const ThreadPoolOptions& opts) {
+  explicit ThreadPool(size_t num_threads) {
     if (num_threads == 0) num_threads = 1;
     threads_.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i) {
       threads_.emplace_back([this] { WorkerLoop(); });
-      if (opts.pin_threads) PinThread(threads_.back(), i + 1);
     }
   }
 
@@ -275,20 +245,6 @@ class ThreadPool {
       if (error) std::rethrow_exception(error);
     }
   };
-
-  static void PinThread(std::thread& t, size_t index) {
-#if defined(__linux__)
-    const unsigned ncpu = std::thread::hardware_concurrency();
-    if (ncpu == 0) return;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<int>(index % ncpu), &set);
-    (void)pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-#else
-    (void)t;
-    (void)index;
-#endif
-  }
 
   void WorkerLoop() {
     for (;;) {

@@ -78,7 +78,7 @@ TYPED_TEST(TypedCrackerTest, ExtremeDomainValues) {
   std::vector<TypeParam> base = {lo, -1, 0, 1, below_top, top};
   CrackerColumn<TypeParam> col("a", base);
   EXPECT_EQ(col.SelectRange(lo, top).size(), 5u);  // everything except top
-  EXPECT_EQ(col.SelectRangeClosed(lo, KT::Highest()).size(), 6u);
+  EXPECT_EQ(col.SelectRange(lo, std::nullopt).size(), 6u);
   EXPECT_EQ(col.SelectRange(0, 2).size(), 2u);
   EXPECT_TRUE(col.CheckInvariants());
 }
@@ -148,10 +148,9 @@ TEST(DoubleCrackerSemantics, SpecialKeysOrderAndSelect) {
   EXPECT_EQ(col.SelectRange(0.0, 1.0).size(), 2u);
   // A half-open high at the NaN key selects everything below it.
   EXPECT_EQ(col.SelectRange(-kInf, KeyTraits<double>::Highest()).size(), 6u);
-  // The closed tail reaches the NaN key itself.
-  EXPECT_EQ(col.SelectRangeClosed(-kInf, KeyTraits<double>::Highest()).size(),
-            7u);
-  EXPECT_EQ(col.SelectRangeClosed(nan, nan).size(), 1u);
+  // The open top reaches the NaN key itself.
+  EXPECT_EQ(col.SelectRange(-kInf, std::nullopt).size(), 7u);
+  EXPECT_EQ(col.SelectRange(nan, std::nullopt).size(), 1u);
   // +inf is an ordinary orderable key just below NaN.
   EXPECT_EQ(col.SelectRange(kInf, KeyTraits<double>::Highest()).size(), 1u);
   EXPECT_TRUE(col.CheckInvariants());
@@ -199,9 +198,9 @@ TEST(DoubleCrackerSemantics, NaNRowsNeverWedgeTheKernels) {
       counts.push_back(col.SelectRange(lo, hi, cfg).size());
       ASSERT_EQ(counts.back(), naive) << "query " << i;
     }
-    // All NaNs sit in the closed tail above +inf.
-    EXPECT_EQ(col.SelectRangeClosed(std::numeric_limits<double>::infinity(),
-                                    KeyTraits<double>::Highest(), cfg)
+    // All NaNs sit in the open top above +inf.
+    EXPECT_EQ(col.SelectRange(std::numeric_limits<double>::infinity(),
+                              std::nullopt, cfg)
                   .size(),
               nans);
     EXPECT_TRUE(col.CheckInvariants());

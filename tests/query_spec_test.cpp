@@ -5,17 +5,24 @@
 /// predicate-order independence of every result (double sums bit-exact),
 /// per-predicate index refinement under repetition, concurrent
 /// multi-predicate queries racing inserts, and the scalar-bound semantics
-/// of the one-predicate path (clamping, special keys, closed-bound
-/// degradation, name resolution, async submission) in every mode.
+/// of the one-predicate path (clamping, special keys, the open top, name
+/// resolution, async submission) in every mode, plus a bound-grid
+/// differential test of every (lo, hi) pair of edge scalars against an
+/// oracle written from the documented semantics.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <iomanip>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "engine/database.h"
@@ -50,14 +57,14 @@ std::vector<double> UniformDoubles(size_t n, uint64_t seed) {
   return v;
 }
 
-/// Half-open [lo, hi) membership in the KeyTraits<double> total order with
-/// the engine's closed-bound degradation at the NaN key (the order's top).
+/// Half-open [lo, hi) membership in the KeyTraits<double> total order, where
+/// an exclusive high at the NaN key (the order's top) opens the range.
 bool HitF64(double v, double lo, double hi) {
   using KT = KeyTraits<double>;
   const double cv = KT::Canonical(v);
   const double clo = KT::Canonical(lo);
   const double chi = KT::Canonical(hi);
-  if (KT::IsHighest(chi)) return !KT::Less(cv, clo);  // closed tail
+  if (KT::IsHighest(chi)) return !KT::Less(cv, clo);  // open top
   return !KT::Less(cv, clo) && KT::Less(cv, chi);
 }
 
@@ -669,6 +676,179 @@ TEST(QuerySpec, ScalarBoundSemanticsInEveryMode) {
     EXPECT_EQ(async, (PositionList{0, 1}));
     EXPECT_TRUE(std::is_permutation(sync.begin(), sync.end(), async.begin(),
                                     async.end()));
+  }
+}
+
+// --- Bound grid ------------------------------------------------------------
+
+/// A key or bound placed in the documented order: a real number compared
+/// exactly (long double holds every int64 and every double), or NaN, which
+/// sits above everything.
+struct OrderPoint {
+  bool nan = false;
+  long double v = 0;
+};
+
+OrderPoint PointOf(KeyScalar s) {
+  if (!s.is_f64()) return {false, static_cast<long double>(s.i)};
+  if (std::isnan(s.d)) return {true, 0};
+  return {false, static_cast<long double>(s.d)};
+}
+
+template <typename T>
+OrderPoint PointOf(T x) {
+  if constexpr (std::is_same_v<T, double>) {
+    return PointOf(KeyScalar::F64(x));
+  } else {
+    return {false, static_cast<long double>(x)};
+  }
+}
+
+bool PointLess(OrderPoint a, OrderPoint b) {
+  if (b.nan) return !a.nan;
+  return !a.nan && a.v < b.v;
+}
+
+/// The documented membership of key \p x of column type T in [lo, hi): lo
+/// <= x < hi in the order above, and an exclusive high above every key of T
+/// (or NaN) runs through the top of T's order.
+template <typename T>
+bool GridHit(T x, KeyScalar lo, KeyScalar hi) {
+  const OrderPoint px = PointOf(x);
+  const OrderPoint plo = PointOf(lo);
+  const OrderPoint phi = PointOf(hi);
+  bool above_all = phi.nan;
+  if constexpr (!std::is_same_v<T, double>) {
+    above_all = above_all ||
+                phi.v > static_cast<long double>(std::numeric_limits<T>::max());
+  }
+  return !PointLess(px, plo) && (above_all || PointLess(px, phi));
+}
+
+std::string Describe(KeyScalar s) {
+  std::ostringstream os;
+  if (s.is_f64()) {
+    os << "f64:" << std::setprecision(17) << s.d;
+  } else {
+    os << "i64:" << s.i;
+  }
+  return os.str();
+}
+
+/// The grid: 17 int64-carrier and 25 double-carrier bounds around the type
+/// extremes, ±2^53, ±2^63, fractions, ±0.0, ±inf and NaN.
+std::vector<KeyScalar> BoundGrid() {
+  constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin32 = std::numeric_limits<int32_t>::min();
+  constexpr int64_t kMax32 = std::numeric_limits<int32_t>::max();
+  constexpr int64_t k2p53 = int64_t{1} << 53;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kD2p53 = 9007199254740992.0;
+  constexpr double kD2p63 = 9223372036854775808.0;
+  std::vector<KeyScalar> g;
+  for (int64_t v : {kMin64, kMin64 + 1, -k2p53 - 1, kMin32 - 1, kMin32,
+                    int64_t{-1}, int64_t{0}, int64_t{1}, int64_t{2},
+                    int64_t{100}, kMax32 - 1, kMax32, kMax32 + 1, k2p53,
+                    k2p53 + 1, kMax64 - 1, kMax64}) {
+    g.push_back(KeyScalar::I64(v));
+  }
+  for (double v : {-kInf, -kD2p63, -kD2p53, -2147483648.5, -2147483648.0,
+                   -1.5, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5,
+                   2147483646.5, 2147483647.0, 2147483647.5, 2147483648.0,
+                   kD2p53, kD2p53 + 2.0, 9223372036854774784.0, kD2p63, kInf,
+                   std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::max()}) {
+    g.push_back(KeyScalar::F64(v));
+  }
+  return g;
+}
+
+// Every (lo, hi) pair of the bound grid against int32, int64 and double
+// columns holding the edge values, in all 7 modes; then, in the cracking
+// modes, one delete of each type's top-of-order key and the whole grid
+// again. The oracle follows the documented semantics, not the clamp.
+TEST(QuerySpec, BoundGridMatchesDocumentedSemanticsInEveryMode) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr int32_t kMin32 = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax32 = std::numeric_limits<int32_t>::max();
+  constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+  std::vector<int32_t> base32 = {kMin32, kMin32 + 1, -1, 0, 1, 2, 100,
+                                 kMax32 - 1, kMax32, kMax32};
+  std::vector<int64_t> base64 = {kMin64, kMin64 + 1, -(int64_t{1} << 53) - 1,
+                                 int64_t{kMin32} - 1, kMin32, -1, 0, 1, 2,
+                                 int64_t{kMax32}, int64_t{kMax32} + 1,
+                                 int64_t{1} << 53, (int64_t{1} << 53) + 1,
+                                 kMax64 - 1, kMax64, kMax64};
+  std::vector<double> based = {-kInf, -std::numeric_limits<double>::max(),
+                               -9223372036854775808.0, -2147483648.5, -1.5,
+                               -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.5,
+                               2147483647.0, 2147483648.0, 9007199254740992.0,
+                               9223372036854775808.0,
+                               std::numeric_limits<double>::max(), kInf, kNaN,
+                               -kNaN};
+  Rng rng(73);
+  for (int i = 0; i < 200; ++i) {
+    base32.push_back(static_cast<int32_t>(rng.Next()));
+    base64.push_back(static_cast<int64_t>(rng.Next()));
+    based.push_back(static_cast<double>(static_cast<int64_t>(rng.Below(4001)) -
+                                        2000) *
+                    0.25);
+  }
+  const std::vector<KeyScalar> grid = BoundGrid();
+  ASSERT_EQ(grid.size(), 42u);
+
+  auto check_grid = [&](Database& db, const ColumnHandle& h, const auto& base,
+                        const char* type) {
+    for (KeyScalar lo : grid) {
+      for (KeyScalar hi : grid) {
+        size_t want = 0;
+        for (auto x : base) want += GridHit(x, lo, hi) ? 1 : 0;
+        EXPECT_EQ(test::Count(db, h, lo, hi), want)
+            << ExecModeName(db.options().mode) << " " << type << " ["
+            << Describe(lo) << ", " << Describe(hi) << ")";
+      }
+    }
+  };
+  auto erase_one = [](auto& base, auto key) {
+    using T = typename std::decay_t<decltype(base)>::value_type;
+    for (size_t i = 0; i < base.size(); ++i) {
+      if (KeyTraits<T>::Eq(base[i], key)) {
+        base.erase(base.begin() + static_cast<std::ptrdiff_t>(i));
+        return;
+      }
+    }
+  };
+
+  for (ExecMode mode : kAllModes) {
+    Database db(ModeOptions(mode));
+    db.LoadColumn<int32_t>("t32", "a", base32);
+    db.LoadColumn("t64", "a", base64);
+    db.LoadColumn<double>("td", "a", based);
+    const ColumnHandle h32 = db.Resolve("t32", "a");
+    const ColumnHandle h64 = db.Resolve("t64", "a");
+    const ColumnHandle hd = db.Resolve("td", "a");
+    check_grid(db, h32, base32, "int32");
+    check_grid(db, h64, base64, "int64");
+    check_grid(db, hd, based, "double");
+    if (mode == ExecMode::kScan || mode == ExecMode::kOffline ||
+        mode == ExecMode::kOnline) {
+      continue;  // updates need a cracking mode
+    }
+    std::vector<int32_t> left32 = base32;
+    std::vector<int64_t> left64 = base64;
+    std::vector<double> leftd = based;
+    ASSERT_TRUE(db.Delete(h32, int64_t{kMax32})) << ExecModeName(mode);
+    ASSERT_TRUE(db.Delete(h64, kMax64)) << ExecModeName(mode);
+    ASSERT_TRUE(db.Delete(hd, kNaN)) << ExecModeName(mode);
+    erase_one(left32, kMax32);
+    erase_one(left64, kMax64);
+    erase_one(leftd, kNaN);
+    check_grid(db, h32, left32, "int32 after delete");
+    check_grid(db, h64, left64, "int64 after delete");
+    check_grid(db, hd, leftd, "double after delete");
   }
 }
 

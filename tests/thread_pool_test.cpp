@@ -184,17 +184,6 @@ TEST(ThreadPool, ParallelForMorselsEmptyAndSerial) {
   EXPECT_EQ(one.steals, 0u);
 }
 
-TEST(ThreadPool, PinnedPoolStillExecutes) {
-  // Pinning is best effort; the observable contract is that a pinned pool
-  // behaves like a normal one.
-  ThreadPoolOptions opts;
-  opts.pin_threads = true;
-  ThreadPool pool(4, opts);
-  std::atomic<int> n{0};
-  pool.ParallelFor(0, 1000, [&](size_t) { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 1000);
-}
-
 class ParallelSortTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
