@@ -73,8 +73,11 @@ CrackScratch<T>& ThreadLocalCrackScratch() {
 /// into scratch with predicated cursor updates (no mispredicted branches),
 /// then copies back. This keeps the memory-access character of vectorized
 /// cracking [44] — sequential streams instead of the random-ish swap
-/// pattern of the Hoare kernel — at the cost of piece-sized scratch, which
-/// shrinks as cracking progresses.
+/// pattern of the Hoare kernel — at the cost of piece-sized scratch. Pieces
+/// shrink as cracking progresses, but the scratch does not: through
+/// ThreadLocalCrackScratch it keeps the size of the largest piece its
+/// thread ever cracked until the thread exits (ROADMAP.md, "Bounded-memory
+/// cracking", plans to bound that retention).
 /// \return the cut: first position whose value is >= pivot.
 template <typename T>
 size_t CrackInTwoOutOfPlace(T* v, RowId* ids, size_t lo, size_t hi, T pivot,

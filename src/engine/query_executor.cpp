@@ -117,6 +117,23 @@ KeyScalar WrapSum(typename KeyTraits<T>::Sum s) {
   }
 }
 
+/// Positional reads walk an ascending rowid list whose neighbours sit
+/// kilobytes apart in the base column, too far for the hardware prefetcher:
+/// while reading rows[i], prefetch the base value of the candidate this many
+/// positions ahead.
+constexpr size_t kPrefetchAhead = 16;
+
+/// Prefetches the base value of rows[i + kPrefetchAhead] when that rowid
+/// lies inside the \p n-row base column (appended rowids live elsewhere).
+template <typename T>
+void PrefetchBaseValue(const T* data, size_t n, const PositionList& rows,
+                       size_t i) {
+  if (i + kPrefetchAhead < rows.size()) {
+    const RowId ahead = rows[i + kPrefetchAhead];
+    if (ahead < n) __builtin_prefetch(data + ahead);
+  }
+}
+
 /// Intersects two ascending rowid lists (sorted-positional merge).
 PositionList SortedIntersect(const PositionList& a, const PositionList& b) {
   PositionList out;
@@ -191,8 +208,11 @@ class ExecutorBase : public QueryExecutor {
     PositionList rows;
     if (spec.predicates.size() == 1) {
       const RangePredicate& p = spec.predicates[0];
+      Timer lap;
       rows = SelectRowIds(p.column, p.low, p.high, qctx);
-      std::sort(rows.begin(), rows.end());
+      obs::ObserveStage(obs::QueryStage::kDrive, lap.LapSeconds());
+      SortRowIds(rows);
+      obs::ObserveStage(obs::QueryStage::kSort, lap.LapSeconds());
     } else {
       rows = SelectConjunction(spec, qctx);  // already ascending
     }
@@ -203,7 +223,11 @@ class ExecutorBase : public QueryExecutor {
     // conjunction still excludes a single-column-inserted row naturally —
     // the row has no value in the other predicate columns, so no index or
     // registry on those columns can produce its rowid.
-    return MaterializeResults(spec, std::move(rows));
+    Timer materialize;
+    QueryResult out = MaterializeResults(spec, std::move(rows));
+    obs::ObserveStage(obs::QueryStage::kMaterialize,
+                      materialize.ElapsedSeconds());
+    return out;
   }
 
  protected:
@@ -367,6 +391,7 @@ class ExecutorBase : public QueryExecutor {
   /// select with it, then applies the remaining conjuncts cheapest-first.
   PositionList SelectConjunction(const QuerySpec& spec,
                                  const QueryContext& qctx) {
+    Timer lap;
     struct Ranked {
       const RangePredicate* pred;
       size_t est;
@@ -380,9 +405,12 @@ class ExecutorBase : public QueryExecutor {
                      [](const Ranked& a, const Ranked& b) {
                        return a.est < b.est;
                      });
+    obs::ObserveStage(obs::QueryStage::kPlan, lap.LapSeconds());
     PositionList cand = SelectRowIds(order[0].pred->column, order[0].pred->low,
                                      order[0].pred->high, qctx);
-    std::sort(cand.begin(), cand.end());
+    obs::ObserveStage(obs::QueryStage::kDrive, lap.LapSeconds());
+    SortRowIds(cand);
+    obs::ObserveStage(obs::QueryStage::kSort, lap.LapSeconds());
     for (size_t i = 1; i < order.size() && !cand.empty(); ++i) {
       const RangePredicate& p = *order[i].pred;
       ColumnEntry& e = Entry(p.column);
@@ -406,12 +434,14 @@ class ExecutorBase : public QueryExecutor {
         }
         RefineHint(e, p.low, p.high, qctx);
         FilterByBaseProbe(e, p.low, p.high, &cand);
+        obs::ObserveStage(obs::QueryStage::kProbe, lap.LapSeconds());
       } else {
         merges.Inc();
         if (trace != nullptr) ++trace->merge_intersects;
         PositionList other = SelectRowIds(p.column, p.low, p.high, qctx);
-        std::sort(other.begin(), other.end());
+        SortRowIds(other);
         cand = SortedIntersect(cand, other);
+        obs::ObserveStage(obs::QueryStage::kMerge, lap.LapSeconds());
       }
     }
     return cand;
@@ -507,14 +537,18 @@ class ExecutorBase : public QueryExecutor {
       const Column<T>& base = *e.runtime<T>().base;
       const T* data = base.data();
       const size_t n = base.size();
+      const PositionList& rows = *cand;
       size_t keep = 0;
-      for (RowId rid : *cand) {
+      for (size_t i = 0; i < rows.size(); ++i) {
+        PrefetchBaseValue(data, n, rows, i);
+        const RowId rid = rows[i];
         T v{};
         if (rid < n) {
           v = data[rid];
         } else if (!AppendedValueFor<T>(e, rid, &v)) {
           continue;
         }
+        // keep <= i: compaction never overwrites the rowids still ahead.
         if (InRange(v, b.lo, b.hi)) (*cand)[keep++] = rid;
       }
       cand->resize(keep);
@@ -584,8 +618,12 @@ class ExecutorBase : public QueryExecutor {
           out.values.push_back(
               DispatchIndexableType(pe.type(), [&](auto tag) -> KeyScalar {
                 using P = typename decltype(tag)::type;
+                const Column<P>& base = *pe.runtime<P>().base;
                 return PositionalSum<P>(pe, [&](auto&& add) {
-                  for (RowId rid : rows) add(rid);
+                  for (size_t i = 0; i < rows.size(); ++i) {
+                    PrefetchBaseValue(base.data(), base.size(), rows, i);
+                    add(rows[i]);
+                  }
                 });
               }));
           break;

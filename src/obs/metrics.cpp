@@ -137,15 +137,18 @@ TraceScope::TraceScope(QueryTrace* t) : prev_(g_current_trace) {
 
 TraceScope::~TraceScope() { g_current_trace = prev_; }
 
+namespace {
+const std::vector<double> kLatencyBounds = {
+    1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
+    1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,  1.0,  2.5,    5.0,  10.0};
+}  // namespace
+
 void RecordQueryDone(QueryTrace& t, const char* mode_name) {
   auto& reg = MetricsRegistry::Global();
   // Per-mode series are cached by ExecMode ordinal; registration (with its
   // mutex and string build) happens once per mode per process.
   static std::array<std::atomic<Counter*>, 16> count_slots{};
   static std::array<std::atomic<Histogram*>, 16> hist_slots{};
-  static const std::vector<double> kLatencyBounds = {
-      1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
-      1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,  1.0,  2.5,    5.0,  10.0};
   const size_t slot = t.mode % count_slots.size();
   Counter* qc = count_slots[slot].load(std::memory_order_acquire);
   if (qc == nullptr) {
@@ -168,6 +171,22 @@ void RecordQueryDone(QueryTrace& t, const char* mode_name) {
     slow.Inc();
   }
   reg.traces().Push(t);
+}
+
+void ObserveStage(QueryStage stage, double seconds) {
+  // In QueryStage order; registered once per process.
+  static constexpr const char* kNames[] = {"plan",  "drive", "sort",
+                                           "probe", "merge", "materialize"};
+  static const std::array<Histogram*, std::size(kNames)> stages = [] {
+    std::array<Histogram*, std::size(kNames)> h{};
+    for (size_t i = 0; i < h.size(); ++i) {
+      h[i] = &MetricsRegistry::Global().GetHistogram(
+          std::string("holix_stage_seconds{stage=\"") + kNames[i] + "\"}",
+          kLatencyBounds);
+    }
+    return h;
+  }();
+  stages[static_cast<size_t>(stage)]->Observe(seconds);
 }
 
 // --- Formatters --------------------------------------------------------------

@@ -70,6 +70,7 @@
 /// | holix_recovery_pivots_total                 | counter   | cracker pivots re-applied at warm start |
 /// | holix_recovery_seconds                      | histogram | wall time per recovery |
 /// | holix_recovery_phase_seconds{phase="..."}   | histogram | recovery wall time per phase: snapshot_read, restore, wal_replay, recrack, merge |
+/// | holix_stage_seconds{stage="..."}            | histogram | materializing-query wall time per stage: plan, drive, sort, materialize (one sample per query), probe, merge (one per conjunct) |
 
 #pragma once
 
@@ -321,6 +322,21 @@ inline void TraceAddPiecesCreated(uint32_t n) {
 /// Finalizes a query: per-mode counter + latency histogram, slow flag and
 /// counter, trace-ring push. \p mode_name is the stable ExecMode label.
 void RecordQueryDone(QueryTrace& t, const char* mode_name);
+
+/// Stages of a query that materializes a qualifying row set (a conjunction,
+/// or one predicate with several results), each timed into
+/// holix_stage_seconds{stage="..."}.
+enum class QueryStage : uint8_t {
+  kPlan,         ///< conjunct estimates and their ordering
+  kDrive,        ///< the driving conjunct's rowid select
+  kSort,         ///< the driving rowid list's sort into ascending order
+  kProbe,        ///< one probed conjunct: its refine hint plus base filter
+  kMerge,        ///< one merged conjunct: its select, sort and intersect
+  kMaterialize,  ///< every requested result over the ascending row set
+};
+
+/// Observes \p seconds into the stage's histogram.
+void ObserveStage(QueryStage stage, double seconds);
 
 // --- Formatters --------------------------------------------------------------
 

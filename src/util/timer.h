@@ -21,6 +21,15 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
+  /// Seconds elapsed since construction or the last Restart() or lap, then
+  /// restarts: one clock read per stage boundary.
+  double LapSeconds() {
+    const Clock::time_point now = Clock::now();
+    const double s = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return s;
+  }
+
   /// Microseconds elapsed since construction or the last Restart().
   int64_t ElapsedMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(

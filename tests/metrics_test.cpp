@@ -1,7 +1,7 @@
 /// Tests for the observability substrate: striped counters under racing
 /// writers, le-inclusive histogram bin edges, gauge semantics, snapshot
-/// monotonicity while writers race, trace-ring wraparound, and the text /
-/// JSON formatters.
+/// monotonicity while writers race, trace-ring wraparound, the text /
+/// JSON formatters, and the per-stage timing of a conjunction.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,9 @@
 #include <thread>
 #include <vector>
 
+#include "engine/database.h"
 #include "obs/metrics.h"
+#include "test_support.h"
 
 namespace holix::obs {
 namespace {
@@ -217,6 +219,43 @@ TEST(RecordQueryDone, CountsModeAndSlowQueries) {
   ASSERT_GE(snap.traces.size(), 2u);
   EXPECT_TRUE(snap.traces.back().slow);
   reg.set_slow_query_seconds(saved);
+}
+
+uint64_t StageSamples(const MetricsSnapshot& snap, const std::string& stage) {
+  const std::string name = "holix_stage_seconds{stage=\"" + stage + "\"}";
+  for (const HistogramSnapshot& h : snap.histograms) {
+    if (h.name == name) return h.Total();
+  }
+  return 0;
+}
+
+TEST(StageSeconds, ThreePredicateQueryStampsEachStageOnce) {
+  DatabaseOptions opts;
+  opts.mode = ExecMode::kAdaptive;
+  Database db(opts);
+  constexpr int64_t kDomain = 1 << 20;
+  db.LoadColumn("t", "a", test::MakeUniform(20000, kDomain, 1));
+  db.LoadColumn("t", "b", test::MakeUniform(20000, kDomain, 2));
+  db.LoadColumn("t", "c", test::MakeUniform(20000, kDomain, 3));
+  QuerySpec spec;
+  spec.Where(db.Resolve("t", "a"), 0, kDomain / 4)
+      .Where(db.Resolve("t", "b"), 0, kDomain / 2)
+      .Where(db.Resolve("t", "c"), kDomain / 4, kDomain);
+  spec.Count().Sum(db.Resolve("t", "c"));
+
+  auto& reg = MetricsRegistry::Global();
+  const MetricsSnapshot before = reg.Snapshot();
+  const QueryResult r = db.Execute(spec);
+  const MetricsSnapshot after = reg.Snapshot();
+  ASSERT_GT(r.values[0].i, 0);
+  for (const char* stage : {"plan", "drive", "sort", "materialize"}) {
+    EXPECT_EQ(StageSamples(after, stage) - StageSamples(before, stage), 1u)
+        << stage;
+  }
+  // Two non-driving conjuncts, each probed or merged once.
+  EXPECT_EQ(StageSamples(after, "probe") + StageSamples(after, "merge") -
+                StageSamples(before, "probe") - StageSamples(before, "merge"),
+            2u);
 }
 
 TEST(Formatters, PrometheusTextHasSeriesAndBuckets) {
