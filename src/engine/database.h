@@ -104,10 +104,11 @@ class Database {
   // Every read is a QuerySpec (query_spec.h): a conjunction of 1..N range
   // predicates plus the requested results. The executor plans the
   // conjunction (most selective predicate first, estimated from cracker
-  // piece boundaries; sorted-positional merge or base-column probes for the
-  // rest — every touched predicate column cracks as a side effect in the
-  // adaptive modes). Handles come from Resolve; no global mutex is taken
-  // and no string is hashed on this path.
+  // piece boundaries; base-column probes for the rest, which skip the
+  // rows deleted from the probed column — every touched predicate column
+  // cracks as a side effect in the adaptive modes). Handles come from
+  // Resolve; no global mutex is taken and no string is hashed on this
+  // path.
 
   QueryResult Execute(const QuerySpec& spec, const QueryContext& qctx = {});
 

@@ -134,25 +134,6 @@ void PrefetchBaseValue(const T* data, size_t n, const PositionList& rows,
   }
 }
 
-/// Intersects two ascending rowid lists (sorted-positional merge).
-PositionList SortedIntersect(const PositionList& a, const PositionList& b) {
-  PositionList out;
-  out.reserve(std::min(a.size(), b.size()));
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Shared plumbing
 // ---------------------------------------------------------------------------
@@ -381,14 +362,11 @@ class ExecutorBase : public QueryExecutor {
 
   // --- Multi-predicate planning ------------------------------------------
 
-  /// A probed conjunct's estimate must exceed the candidate list by this
-  /// factor before direct base probes beat a sorted-merge intersection
-  /// (probing is O(|candidates|); the merge pays materialize + sort of the
-  /// conjunct's own, possibly huge, qualifying set).
-  static constexpr size_t kProbeFactor = 4;
-
   /// Picks the most selective conjunct by estimate, drives the mode's
-  /// select with it, then applies the remaining conjuncts cheapest-first.
+  /// select with it, then probes the remaining conjuncts cheapest-first.
+  /// Each probe first refines its attribute's index at the query bounds
+  /// (RefineHint), so every predicate column keeps converging in the
+  /// adaptive modes, then filters the candidates by their base values.
   PositionList SelectConjunction(const QuerySpec& spec,
                                  const QueryContext& qctx) {
     Timer lap;
@@ -411,38 +389,17 @@ class ExecutorBase : public QueryExecutor {
     obs::ObserveStage(obs::QueryStage::kDrive, lap.LapSeconds());
     SortRowIds(cand);
     obs::ObserveStage(obs::QueryStage::kSort, lap.LapSeconds());
+    static obs::Counter& probes = obs::MetricsRegistry::Global().GetCounter(
+        "holix_planner_probe_total");
+    obs::QueryTrace* trace = obs::CurrentQueryTrace();
     for (size_t i = 1; i < order.size() && !cand.empty(); ++i) {
       const RangePredicate& p = *order[i].pred;
       ColumnEntry& e = Entry(p.column);
-      static obs::Counter& probes = obs::MetricsRegistry::Global().GetCounter(
-          "holix_planner_probe_total");
-      static obs::Counter& merges = obs::MetricsRegistry::Global().GetCounter(
-          "holix_planner_merge_total");
-      static obs::Counter& hints = obs::MetricsRegistry::Global().GetCounter(
-          "holix_planner_refine_hints_total");
-      obs::QueryTrace* trace = obs::CurrentQueryTrace();
-      if (order[i].est >= kProbeFactor * cand.size() && ProbeSafe(e)) {
-        // Low-selectivity conjunct: probing the base value of each
-        // surviving candidate is cheaper than materializing its huge
-        // qualifying set. The index still refines (RefineHint) so the
-        // attribute keeps converging in the adaptive modes.
-        probes.Inc();
-        hints.Inc();
-        if (trace != nullptr) {
-          ++trace->probe_filters;
-          ++trace->refine_hints;
-        }
-        RefineHint(e, p.low, p.high, qctx);
-        FilterByBaseProbe(e, p.low, p.high, &cand);
-        obs::ObserveStage(obs::QueryStage::kProbe, lap.LapSeconds());
-      } else {
-        merges.Inc();
-        if (trace != nullptr) ++trace->merge_intersects;
-        PositionList other = SelectRowIds(p.column, p.low, p.high, qctx);
-        SortRowIds(other);
-        cand = SortedIntersect(cand, other);
-        obs::ObserveStage(obs::QueryStage::kMerge, lap.LapSeconds());
-      }
+      probes.Inc();
+      if (trace != nullptr) ++trace->probe_filters;
+      RefineHint(e, p.low, p.high, qctx);
+      FilterByBaseProbe(e, p.low, p.high, &cand);
+      obs::ObserveStage(obs::QueryStage::kProbe, lap.LapSeconds());
     }
     return cand;
   }
@@ -505,26 +462,13 @@ class ExecutorBase : public QueryExecutor {
     rt.domain_ready.store(true, std::memory_order_release);
   }
 
-  /// Base-column probes answer a conjunct correctly only while the base
-  /// array is the truth for every live row: a delete (pending or already
-  /// Ripple-merged) removes the row from the adaptive index but not from
-  /// the base, so deleted-from columns must take the merge path.
-  bool ProbeSafe(ColumnEntry& e) {
-    return DispatchIndexableType(e.type(), [&](auto tag) -> bool {
-      using T = typename decltype(tag)::type;
-      auto c = e.runtime<T>().cracker.load(std::memory_order_acquire);
-      if (c == nullptr) return true;  // updates always build a cracker first
-      return c->stats().merged_deletes.load(std::memory_order_relaxed) == 0 &&
-             c->pending().PendingDeletes() == 0;
-    });
-  }
-
-  /// Drops every candidate whose value in this attribute misses [lo, hi).
-  /// Rowids beyond the base column (rows appended by Insert) resolve
-  /// through the pending registry — a row inserted into this attribute
-  /// qualifies on its inserted value, matching the merge path, which finds
-  /// it through the column's adaptive index; a row never inserted here has
-  /// no value and is dropped.
+  /// Drops every candidate whose value in this attribute misses [lo, hi),
+  /// or that this attribute no longer holds. Rowids beyond the base column
+  /// (rows appended by Insert) resolve through the pending registry: a row
+  /// inserted into this attribute qualifies on its inserted value, and a
+  /// row never inserted here, or inserted and deleted again, has no value
+  /// and is dropped. A deleted base row keeps its value in the base array,
+  /// which never shrinks, so the column's deleted-base registry removes it.
   void FilterByBaseProbe(ColumnEntry& e, KeyScalar lo, KeyScalar hi,
                          PositionList* cand) {
     DispatchIndexableType(e.type(), [&](auto tag) {
@@ -552,6 +496,8 @@ class ExecutorBase : public QueryExecutor {
         if (InRange(v, b.lo, b.hi)) (*cand)[keep++] = rid;
       }
       cand->resize(keep);
+      auto c = e.runtime<T>().cracker.load(std::memory_order_acquire);
+      if (c != nullptr) c->pending().EraseDeletedBase(cand);
     });
   }
 

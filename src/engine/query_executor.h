@@ -68,13 +68,13 @@ class QueryExecutor {
   /// *planned*: predicates are ordered by estimated selectivity — cracker
   /// piece boundaries when an adaptive index exists, sorted-index counts
   /// when one is built, [min, max] rank interpolation otherwise — the
-  /// most selective predicate drives the mode's select,
-  /// and each remaining conjunct is applied either by sorted-positional
-  /// merge against its own (index-refining) select or, when its estimated
-  /// selectivity is high, by direct value probes of the base column; in
-  /// cracking modes a probed predicate's index is still cracked at the
-  /// query bounds so repetition keeps getting faster on every predicate
-  /// column.
+  /// most selective predicate drives the mode's select, and each
+  /// remaining conjunct, cheapest first, is applied by value probes of
+  /// the base column. In cracking modes a probed predicate's index is
+  /// first cracked at the query bounds, so repetition keeps getting faster
+  /// on every predicate column; the probe drops rows deleted from that
+  /// column (the base array keeps their values) through the column's
+  /// deleted-base registry.
   ///
   /// Throws std::invalid_argument for an empty conjunction, an empty
   /// result list, a sum request without a column, or columns spanning

@@ -175,8 +175,8 @@ void RecordQueryDone(QueryTrace& t, const char* mode_name) {
 
 void ObserveStage(QueryStage stage, double seconds) {
   // In QueryStage order; registered once per process.
-  static constexpr const char* kNames[] = {"plan",  "drive", "sort",
-                                           "probe", "merge", "materialize"};
+  static constexpr const char* kNames[] = {"plan", "drive", "sort", "probe",
+                                           "materialize"};
   static const std::array<Histogram*, std::size(kNames)> stages = [] {
     std::array<Histogram*, std::size(kNames)> h{};
     for (size_t i = 0; i < h.size(); ++i) {
@@ -314,13 +314,12 @@ std::string HumanText(const MetricsSnapshot& snap) {
       char line[256];
       std::snprintf(line, sizeof(line),
                     "  #%" PRIu64
-                    " mode=%u preds=%u probe=%u merge=%u hints=%u "
+                    " mode=%u preds=%u probe=%u "
                     "pieces+=%u scanned=%" PRIu64 "B %.3fms%s\n",
                     t.seq, static_cast<unsigned>(t.mode),
                     static_cast<unsigned>(t.predicates), t.probe_filters,
-                    t.merge_intersects, t.refine_hints, t.pieces_created,
-                    t.bytes_scanned, t.latency_seconds * 1e3,
-                    t.slow ? " SLOW" : "");
+                    t.pieces_created, t.bytes_scanned,
+                    t.latency_seconds * 1e3, t.slow ? " SLOW" : "");
       os << line;
     }
   }

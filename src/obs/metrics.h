@@ -47,8 +47,7 @@
 /// | holix_queries_total{mode="..."}             | counter   | queries per ExecMode |
 /// | holix_query_seconds{mode="..."}             | histogram | query latency per ExecMode |
 /// | holix_slow_queries_total                    | counter   | queries over the slow threshold |
-/// | holix_planner_{probe,merge}_total           | counter   | conjunction probe-vs-merge choices |
-/// | holix_planner_refine_hints_total            | counter   | RefineHint cracks issued by probes |
+/// | holix_planner_probe_total                   | counter   | non-driving conjuncts probed (one refine hint + base filter each) |
 /// | holix_index_pieces / holix_adaptive_indices | gauge     | registry-wide piece/index counts |
 /// | holix_server_connections_total              | counter   | accepted sockets |
 /// | holix_server_requests_total                 | counter   | request frames entering execution |
@@ -70,7 +69,7 @@
 /// | holix_recovery_pivots_total                 | counter   | cracker pivots re-applied at warm start |
 /// | holix_recovery_seconds                      | histogram | wall time per recovery |
 /// | holix_recovery_phase_seconds{phase="..."}   | histogram | recovery wall time per phase: snapshot_read, restore, wal_replay, recrack, merge |
-/// | holix_stage_seconds{stage="..."}            | histogram | materializing-query wall time per stage: plan, drive, sort, materialize (one sample per query), probe, merge (one per conjunct) |
+/// | holix_stage_seconds{stage="..."}            | histogram | materializing-query wall time per stage: plan, drive, sort, materialize (one sample per query), probe (one per non-driving conjunct) |
 
 #pragma once
 
@@ -213,9 +212,7 @@ struct QueryTrace {
   uint8_t mode = 0;          ///< ExecMode ordinal
   uint16_t predicates = 0;   ///< conjunction width
   uint16_t results = 0;      ///< result requests
-  uint32_t probe_filters = 0;     ///< planner chose base-probe
-  uint32_t merge_intersects = 0;  ///< planner chose sorted-intersect
-  uint32_t refine_hints = 0;      ///< RefineHint cracks issued
+  uint32_t probe_filters = 0;     ///< non-driving conjuncts probed
   uint32_t pieces_created = 0;    ///< boundaries inserted by this query
   uint64_t bytes_scanned = 0;     ///< piece-scan bytes
   double latency_seconds = 0;
@@ -331,7 +328,6 @@ enum class QueryStage : uint8_t {
   kDrive,        ///< the driving conjunct's rowid select
   kSort,         ///< the driving rowid list's sort into ascending order
   kProbe,        ///< one probed conjunct: its refine hint plus base filter
-  kMerge,        ///< one merged conjunct: its select, sort and intersect
   kMaterialize,  ///< every requested result over the ascending row set
 };
 

@@ -220,8 +220,6 @@ void GetStatsResult::Encode(WireWriter& w) const {
     w.U16(t.predicates);
     w.U16(t.results);
     w.U32(t.probe_filters);
-    w.U32(t.merge_intersects);
-    w.U32(t.refine_hints);
     w.U32(t.pieces_created);
     w.U64(t.bytes_scanned);
     w.F64(t.latency_seconds);
@@ -275,14 +273,13 @@ bool GetStatsResult::Decode(WireReader& r) {
   if (!r.U32(&n) || n > kMaxStatsTraces) return false;
   // Traces are the last section and fixed-size: the byte count must match
   // exactly (mirrors the ExecuteQueryResult rowid idiom).
-  constexpr size_t kTraceBytes = 8 + 1 + 2 + 2 + 4 * 4 + 8 + 8 + 1;
+  constexpr size_t kTraceBytes = 8 + 1 + 2 + 2 + 4 * 2 + 8 + 8 + 1;
   if (r.remaining() != static_cast<size_t>(n) * kTraceBytes) return false;
   snapshot.traces.resize(n);
   for (obs::QueryTrace& t : snapshot.traces) {
     uint8_t slow = 0;
     if (!r.U64(&t.seq) || !r.U8(&t.mode) || !r.U16(&t.predicates) ||
         !r.U16(&t.results) || !r.U32(&t.probe_filters) ||
-        !r.U32(&t.merge_intersects) || !r.U32(&t.refine_hints) ||
         !r.U32(&t.pieces_created) || !r.U64(&t.bytes_scanned) ||
         !r.F64(&t.latency_seconds) || !r.U8(&slow)) {
       return false;

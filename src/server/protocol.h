@@ -38,6 +38,12 @@
 /// (types 7–14) are gone, and those type bytes are rejected like any
 /// unknown type. The handshake is strict as with every version bump: a
 /// v4 peer is answered kVersionMismatch at Hello.
+///
+/// Version 6 shrinks the GetStats trace record by 8 bytes: the planner
+/// applies every non-driving conjunct by a base probe, so the record's
+/// merge-intersect and refine-hint counts are gone and `probe_filters`
+/// is the one planner count left. A v5 peer is answered kVersionMismatch
+/// at Hello.
 
 #pragma once
 
@@ -62,7 +68,8 @@ inline constexpr uint32_t kMagic = 0x484C5850;
 /// sum results. v3: the generic multi-predicate ExecuteQuery frame.
 /// v4: the GetStats telemetry frame (metrics snapshot + query traces).
 /// v5: the per-primitive query frames (types 7–14) are retired.
-inline constexpr uint16_t kProtocolVersion = 5;
+/// v6: the GetStats trace record drops its merge and refine-hint counts.
+inline constexpr uint16_t kProtocolVersion = 6;
 /// Hard cap on one frame's payload (validated before allocation). Large
 /// enough for a 2M-rowid select result, small enough that a malformed
 /// length can never balloon memory.

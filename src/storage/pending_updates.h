@@ -35,8 +35,9 @@ class PendingUpdates {
   /// Parks a deletion of (value, rowid). A delete of a row that was itself
   /// appended simply nets out of the appended registry; a delete of a BASE
   /// row is remembered in the deleted-base registry — the base array never
-  /// shrinks, so durability needs the list of base rows no longer live to
-  /// reconstruct the column's effective multiset.
+  /// shrinks, so durability (to reconstruct the column's effective
+  /// multiset) and positional base probes need the list of base rows no
+  /// longer live.
   void AddDelete(T value, RowId rowid) {
     std::lock_guard<std::mutex> lk(mu_);
     deletes_.push_back({value, rowid});
@@ -90,6 +91,16 @@ class PendingUpdates {
     if (it == appended_.end()) return false;
     *out = it->second;
     return true;
+  }
+
+  /// Removes from \p rows every rowid in the deleted-base registry, keeping
+  /// the order of the rest. Positional probes of the base array need this:
+  /// a deleted base row still holds its value there. One lock per call;
+  /// returns at once while no base row has been deleted.
+  void EraseDeletedBase(std::vector<RowId>* rows) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (deleted_base_.empty()) return;
+    std::erase_if(*rows, [&](RowId r) { return deleted_base_.contains(r); });
   }
 
   /// Number of live appended rows (inserted and not deleted).

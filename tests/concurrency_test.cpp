@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -92,32 +93,53 @@ TEST(Concurrency, QueriesPlusWorkersStayConsistent) {
 }
 
 TEST(Concurrency, WorkerSkipsLatchedPiece) {
-  // Hold the write latch of the only piece; TryRefineAt must fail fast
-  // (Figure 3: pick another pivot) instead of blocking.
+  // A worker's TryRefineAt never blocks on a piece another thread holds
+  // (Figure 3): it returns false and counts a skip, and the caller picks
+  // another pivot. How many attempts meet a latched piece depends on the
+  // scheduler, so every check here holds for any interleaving.
   const auto base = MakeUniform(10000, 1 << 16, 3);
   CrackerColumn<int64_t> col("a", base);
-  // Crack once so we know a piece's latch; then lock it manually by
-  // starting a long ScanRange from another thread is complex — instead we
-  // emulate with a first crack and verify skip counting under contention.
+  // Churn and the contended refinements only ever crack at even values,
+  // so every odd pivot of the uncontended phase is a fresh boundary.
   std::atomic<bool> stop{false};
   std::thread churn([&] {
     Rng rng(4);
     while (!stop.load(std::memory_order_relaxed)) {
-      const int64_t lo = static_cast<int64_t>(rng.Below(1 << 16));
+      const int64_t lo = 2 * static_cast<int64_t>(rng.Below(1 << 15));
       col.SelectRange(lo, lo + 1024);
     }
   });
   Rng rng(5);
+  uint64_t cracked = 0;
   for (int i = 0; i < 2000; ++i) {
-    col.TryRefineAt(static_cast<int64_t>(rng.Below(1 << 16)));
+    if (col.TryRefineAt(2 * static_cast<int64_t>(rng.Below(1 << 15)))) {
+      ++cracked;
+    }
   }
   stop.store(true);
   churn.join();
   EXPECT_TRUE(col.CheckInvariants());
-  // Skips may or may not occur depending on timing; the invariant is that
-  // refinement never corrupted the index and never deadlocked (we got
-  // here). Worker cracks should have succeeded en masse.
-  EXPECT_GT(col.stats().worker_cracks.load(), 100u);
+  // Every true return is one worker crack, and nothing else is.
+  EXPECT_EQ(col.stats().worker_cracks.load(), cracked);
+
+  // Uncontended, no piece is latched: every pivot that is not yet a
+  // boundary cracks, an existing boundary does not, and nothing skips.
+  std::set<int64_t> boundaries;
+  for (const auto& [value, pos] : col.ExportBoundaries()) {
+    boundaries.insert(value);
+  }
+  const uint64_t skips = col.stats().worker_skips.load();
+  size_t fresh = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const int64_t pivot = 2 * static_cast<int64_t>(rng.Below(1 << 15)) + 1;
+    const bool is_new = boundaries.insert(pivot).second;
+    EXPECT_EQ(col.TryRefineAt(pivot), is_new) << pivot;
+    fresh += is_new ? 1 : 0;
+  }
+  EXPECT_EQ(col.stats().worker_skips.load(), skips);
+  EXPECT_EQ(col.stats().worker_cracks.load(), cracked + fresh);
+  EXPECT_GT(fresh, 1900u);  // 2000 draws from 2^15 odd values
+  EXPECT_TRUE(col.CheckInvariants());
 }
 
 TEST(Concurrency, ConcurrentScansSeeStableRanges) {

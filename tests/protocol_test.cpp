@@ -276,7 +276,7 @@ TEST(Protocol, RetiredMessageTypesRejected) {
   }
   EXPECT_EQ(kFirstRetiredMsgType, 7);
   EXPECT_EQ(kLastRetiredMsgType, 14);
-  EXPECT_EQ(kProtocolVersion, 5);
+  EXPECT_EQ(kProtocolVersion, 6);
 }
 
 TEST(Protocol, TrailingGarbageRejectsMessage) {
@@ -486,6 +486,48 @@ TEST(Protocol, ExecuteQueryResultLyingRowIdCountRejected) {
   ExecuteQueryResult out;
   EXPECT_FALSE(DecodeMessage(f, &out));
   EXPECT_TRUE(out.rowids.empty());
+}
+
+TEST(Protocol, RoundtripGetStats) {
+  GetStatsResult stats;
+  stats.snapshot.counters = {{"holix_planner_probe_total", 42}};
+  stats.snapshot.gauges = {{"holix_index_pieces", 17.5}};
+  obs::HistogramSnapshot h;
+  h.name = "holix_stage_seconds{stage=\"probe\"}";
+  h.bounds = {0.001, 0.01};
+  h.counts = {3, 2, 1};
+  h.sum = 0.125;
+  stats.snapshot.histograms = {h};
+  obs::QueryTrace t;
+  t.seq = 9;
+  t.mode = 6;
+  t.predicates = 3;
+  t.results = 2;
+  t.probe_filters = 2;
+  t.pieces_created = 4;
+  t.bytes_scanned = 1 << 20;
+  t.latency_seconds = 0.25;
+  t.slow = true;
+  stats.snapshot.traces = {t, obs::QueryTrace{}};
+  EXPECT_EQ(Roundtrip(stats).snapshot, stats.snapshot);
+
+  // A v6 trace record is 38 bytes; one byte more or less fails the
+  // section's exact-length check.
+  GetStatsResult empty;
+  GetStatsResult one;
+  one.snapshot.traces = {t};
+  EXPECT_EQ(EncodeMessage(1, one).size() - EncodeMessage(1, empty).size(),
+            38u);
+  std::vector<uint8_t> bytes = EncodeMessage(1, one);
+  bytes.pop_back();
+  bytes[0] -= 1;
+  Frame f;
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), &f, &consumed, &error),
+            DecodeStatus::kFrame);
+  GetStatsResult out;
+  EXPECT_FALSE(DecodeMessage(f, &out));
 }
 
 TEST(Protocol, LittleEndianOnTheWire) {

@@ -8,7 +8,10 @@
 /// of the one-predicate path (clamping, special keys, the open top, name
 /// resolution, async submission) in every mode, plus a bound-grid
 /// differential test of every (lo, hi) pair of edge scalars against an
-/// oracle written from the documented semantics.
+/// oracle written from the documented semantics, and the base probe's
+/// handling of rows deleted from the probed column (pending, merged,
+/// appended-then-deleted, and after checkpoint + warm recovery) in every
+/// cracking mode.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,7 @@
 #include <cstdint>
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +30,8 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "obs/metrics.h"
+#include "persist/persistence.h"
 #include "test_support.h"
 
 namespace holix {
@@ -851,6 +857,128 @@ TEST(QuerySpec, BoundGridMatchesDocumentedSemanticsInEveryMode) {
     check_grid(db, hd, leftd, "double after delete");
   }
 }
+
+/// A probed conjunct reads its attribute's base array, which keeps the
+/// value of a row deleted from that attribute: the probe has to drop the
+/// rows in the column's deleted-base registry. Column a drives with a
+/// narrow range and column b is probed with a wide one; every answer is
+/// checked against a multiset oracle of the live rows.
+class ProbeDeleteTest : public test::TempDirTest,
+                        public ::testing::WithParamInterface<ExecMode> {};
+
+TEST_P(ProbeDeleteTest, ProbeSkipsRowsDeletedFromTheProbedColumn) {
+  const ExecMode mode = GetParam();
+  constexpr size_t kRows = 4000;
+  constexpr int64_t kStep = 8;
+  // Distinct values (shuffled multiples of kStep), so a Delete by value
+  // resolves exactly the intended row.
+  auto distinct = [](uint64_t seed) {
+    std::vector<int64_t> v(kRows);
+    for (size_t i = 0; i < kRows; ++i) v[i] = static_cast<int64_t>(i) * kStep;
+    Rng rng(seed);
+    for (size_t i = kRows - 1; i > 0; --i) std::swap(v[i], v[rng.Below(i + 1)]);
+    return v;
+  };
+  const std::vector<int64_t> a = distinct(81);
+  const std::vector<int64_t> b = distinct(82);
+  const int64_t a_lo = 1000 * kStep;
+  const int64_t a_hi = a_lo + static_cast<int64_t>(kRows / 20) * kStep;
+  const int64_t b_lo = 100 * kStep;
+  const int64_t b_hi = static_cast<int64_t>(kRows) * kStep;
+  auto in = [](int64_t v, int64_t lo, int64_t hi) { return v >= lo && v < hi; };
+
+  // The row whose b value gets deleted qualifies on both conjuncts.
+  size_t victim = kRows;
+  for (size_t i = 0; i < kRows && victim == kRows; ++i) {
+    if (in(a[i], a_lo, a_hi) && in(b[i], b_lo, b_hi)) victim = i;
+  }
+  ASSERT_LT(victim, kRows);
+  // The multiset oracle: b's live base rows plus its live appended values.
+  std::vector<std::optional<int64_t>> live_b(b.begin(), b.end());
+  std::vector<int64_t> appended_b;
+
+  persist::PersistOptions popts;
+  popts.data_dir = temp_dir().string();
+  popts.fsync = persist::FsyncPolicy::kAlways;
+  auto check = [&](Database& db, const std::string& state) {
+    SCOPED_TRACE(std::string(ExecModeName(mode)) + ": " + state);
+    const ColumnHandle ha = db.Resolve("t", "a");
+    const ColumnHandle hb = db.Resolve("t", "b");
+    size_t count = 0;
+    int64_t sum = 0;
+    PositionList rowids;
+    size_t b_count = 0;
+    int64_t b_sum = 0;
+    for (size_t i = 0; i < kRows; ++i) {
+      if (!live_b[i] || !in(*live_b[i], b_lo, b_hi)) continue;
+      ++b_count;
+      b_sum += *live_b[i];
+      if (!in(a[i], a_lo, a_hi)) continue;
+      ++count;
+      sum += *live_b[i];
+      rowids.push_back(i);
+    }
+    for (int64_t v : appended_b) {
+      if (!in(v, b_lo, b_hi)) continue;
+      ++b_count;
+      b_sum += v;
+    }
+    obs::Counter& probes =
+        obs::MetricsRegistry::Global().GetCounter("holix_planner_probe_total");
+    const uint64_t probes_before = probes.Value();
+    QuerySpec spec;
+    spec.Where(ha, a_lo, a_hi).Where(hb, b_lo, b_hi).Count().Sum(hb).RowIds();
+    const QueryResult r = db.Execute(spec);
+    EXPECT_EQ(probes.Value() - probes_before, 1u);  // b was the probed one
+    EXPECT_EQ(r.values[0].i, static_cast<int64_t>(count));
+    EXPECT_EQ(r.values[1].i, sum);
+    EXPECT_EQ(r.rowids, rowids);
+    QuerySpec only_b;
+    only_b.Where(hb, b_lo, b_hi).Count().Sum(hb);
+    const QueryResult rb = db.Execute(only_b);
+    EXPECT_EQ(rb.values[0].i, static_cast<int64_t>(b_count));
+    EXPECT_EQ(rb.values[1].i, b_sum);
+  };
+
+  {
+    Database db(ModeOptions(mode));
+    db.LoadColumn("t", "a", a);
+    db.LoadColumn("t", "b", b);
+    persist::PersistenceManager pm(db, popts);
+    const ColumnHandle hb = db.Resolve("t", "b");
+    check(db, "before any update");
+
+    obs::Counter& merged = obs::MetricsRegistry::Global().GetCounter(
+        "holix_ripple_merged_deletes_total");
+    const uint64_t merged_before = merged.Value();
+    ASSERT_TRUE(db.Delete(hb, b[victim]));
+    live_b[victim].reset();
+    check(db, "(i) base row deleted from b, pending");
+    (void)test::Count(db, hb, b_lo, b_hi);
+    EXPECT_GE(merged.Value() - merged_before, 1u);
+    check(db, "(ii) after a query on b merged the delete");
+
+    const int64_t fresh = 2000 * kStep + 1;  // no base row holds it
+    (void)db.Insert(hb, fresh);
+    appended_b.push_back(fresh);
+    check(db, "row inserted into b");
+    ASSERT_TRUE(db.Delete(hb, fresh));
+    appended_b.clear();
+    check(db, "(iii) row inserted into b and deleted again");
+    pm.Checkpoint();
+  }
+
+  Database db2(ModeOptions(mode));
+  persist::PersistenceManager pm2(db2, popts);
+  ASSERT_TRUE(pm2.recovered());
+  check(db2, "(iv) after checkpoint and warm recovery");
+}
+
+INSTANTIATE_TEST_SUITE_P(CrackingModes, ProbeDeleteTest,
+                         ::testing::Values(ExecMode::kAdaptive,
+                                           ExecMode::kStochastic,
+                                           ExecMode::kCCGI,
+                                           ExecMode::kHolistic));
 
 }  // namespace
 }  // namespace holix
