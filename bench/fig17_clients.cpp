@@ -37,7 +37,8 @@ int main() {
     {
       Database db(PlainOptions(ExecMode::kAdaptive, per_query));
       LoadUniformTable(db, "r", attrs, env.rows, env.domain, env.seed);
-      pvdc = RunWorkloadConcurrent(db, "r", names, queries, clients);
+      pvdc = RunWorkloadConcurrentChecked(db, "r", names, queries, clients)
+                 .seconds;
     }
     // Holistic: user queries take half the per-client budget when there is
     // room; the rest of the machine is worker territory.
@@ -48,7 +49,8 @@ int main() {
     {
       Database db(HolisticOptions(u, w, z, env.cores));
       LoadUniformTable(db, "r", attrs, env.rows, env.domain, env.seed);
-      hi = RunWorkloadConcurrent(db, "r", names, queries, clients);
+      hi = RunWorkloadConcurrentChecked(db, "r", names, queries, clients)
+               .seconds;
     }
     t.AddRow({std::to_string(clients), FormatSeconds(pvdc), FormatSeconds(hi),
               SplitLabel(per_query, 0, 0), SplitLabel(u, w, z)});

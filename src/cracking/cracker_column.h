@@ -11,7 +11,10 @@
 ///   3. tree mutex     — shared to look up pieces, unique to add boundaries.
 /// A thread never acquires a piece latch while holding the tree mutex, so
 /// boundary inserts (piece latch -> unique tree) cannot deadlock against
-/// lookups (shared tree only).
+/// lookups (shared tree only). A select that reads its rows holds the
+/// column read latch from its first crack to its last visited row, so a
+/// Ripple merge waits for it and the rows never move between the crack
+/// and the read.
 
 #pragma once
 
@@ -24,6 +27,7 @@
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cracking/crack_config.h"
@@ -48,6 +52,18 @@ struct CrackStats {
   std::atomic<uint64_t> worker_skips{0};   ///< Worker try-latch failures (Fig. 3d).
   std::atomic<uint64_t> merged_inserts{0}; ///< Pending inserts merged.
   std::atomic<uint64_t> merged_deletes{0}; ///< Pending deletes merged.
+};
+
+/// A run of selected rows inside one piece, handed to a select visitor
+/// while the piece's read latch is held: values[i] belongs to row
+/// rowids[i], at column position pos + i.
+template <typename T>
+struct RowRun {
+  const T* values;
+  const RowId* rowids;
+  size_t size;      ///< Rows in this run; never zero.
+  size_t pos;       ///< Column position of values[0] (aligned payloads).
+  size_t selected;  ///< Rows the whole select visits, this run included.
 };
 
 /// An adaptive (cracked) index over one attribute.
@@ -123,9 +139,6 @@ class CrackerColumn {
     payloads_.push_back(std::move(payload));
   }
 
-  /// Number of aligned payload columns.
-  size_t NumPayloads() const { return payloads_.size(); }
-
   // ---------------------------------------------------------------------
   // Select path (user queries)
   // ---------------------------------------------------------------------
@@ -135,13 +148,20 @@ class CrackerColumn {
   /// (max(T) for integers, the NaN key for doubles, which no exclusive bound
   /// can reach). Cracks at both bounds as a side effect — at \p low only
   /// for the open top, whose rows run to the end of the column; merges
-  /// pending updates overlapping the range first (Ripple, [28]). The
-  /// positions stay valid only until the next Ripple merge shifts rows;
-  /// \p layout, when given, receives the layout they were computed in (see
-  /// ScanRangeAt).
+  /// pending updates overlapping the range first (Ripple, [28]).
+  ///
+  /// Given a \p visit callable, also reads the selected rows: calls
+  /// visit(run) with every RowRun<T> of the range in position order, under
+  /// the column read latch the cracks ran under and each piece's read
+  /// latch. No Ripple merge can shift rows between the crack and the read,
+  /// because a merge needs the column write latch; on purpose, so \p visit
+  /// must not call back into this column. Without a visitor the returned
+  /// positions are valid only while no merge runs, so only counts and
+  /// quiescent callers use them.
+  template <typename Visit = std::nullptr_t>
   PositionRange SelectRange(T low, std::optional<T> high,
                             const CrackConfig& cfg = {},
-                            uint64_t* layout = nullptr) {
+                            Visit&& visit = nullptr) {
     stats_.accesses.fetch_add(1, std::memory_order_relaxed);
     if (high && !KeyTraits<T>::Less(low, *high)) return {0, 0};
     // Merge before the emptiness check: a column loaded empty can still
@@ -150,25 +170,11 @@ class CrackerColumn {
     if (size() == 0) return {0, 0};
 
     ReadGuard column_guard(column_latch_);
-    if (layout != nullptr) {
-      *layout = layout_epoch_.load(std::memory_order_relaxed);
+    const PositionRange range = CrackRangeLatched(low, high, cfg);
+    if constexpr (!std::is_null_pointer_v<std::remove_cvref_t<Visit>>) {
+      VisitLatched(range, visit);
     }
-    // Exact hit: both bounds already are boundaries -> no reorganization.
-    {
-      std::shared_lock<std::shared_mutex> lk(tree_mu_);
-      if (index_.HasBoundary(low) && (!high || index_.HasBoundary(*high))) {
-        const size_t b = index_.FindPiece(low, size()).begin;
-        const size_t e = high ? index_.FindPiece(*high, size()).begin : size();
-        stats_.exact_hits.fetch_add(1, std::memory_order_relaxed);
-        return {b, e};
-      }
-    }
-    // Two two-way cracks, also when both bounds share one piece: the
-    // vectorized kernels beat a scalar three-way pass, and the second crack
-    // only touches the piece that holds `high` after the first.
-    const size_t b = CrackAtBlocking(low, cfg);
-    const size_t e = high ? CrackAtBlocking(*high, cfg) : size();
-    return {b, e};
+    return range;
   }
 
   /// Cracks at a single bound (blocking); returns the first position whose
@@ -265,41 +271,15 @@ class CrackerColumn {
   }
 
   // ---------------------------------------------------------------------
-  // Result consumption
+  // Quiescent access (tests, single-threaded tools)
   // ---------------------------------------------------------------------
-
-  /// Applies fn(value, rowid) to every row in \p range, taking piece read
-  /// latches so concurrent cracks of the same pieces cannot tear rows.
-  template <typename Fn>
-  void ScanRange(PositionRange range, Fn&& fn) const {
-    ReadGuard column_guard(column_latch_);
-    // The range may predate a Ripple delete merge that shrank the column
-    // (a caller selects, releases the latch, then scans). Positions past
-    // the current size no longer exist, and the piece lookup could never
-    // advance past them; the size is stable while the latch is held.
-    range.end = std::min(range.end, size());
-    ScanLatched(range, fn);
-  }
-
-  /// ScanRange over a range selected in layout \p layout (SelectRange's
-  /// out-parameter). When a Ripple merge has shifted rows since, the
-  /// positions no longer hold the selected rows: visits nothing and returns
-  /// false, and the caller selects again.
-  template <typename Fn>
-  bool ScanRangeAt(PositionRange range, uint64_t layout, Fn&& fn) const {
-    if (range.empty()) return true;
-    ReadGuard column_guard(column_latch_);
-    if (layout_epoch_.load(std::memory_order_relaxed) != layout) return false;
-    ScanLatched(range, fn);
-    return true;
-  }
 
   /// Unsynchronized value access. Callers must guarantee quiescence (tests,
   /// single-threaded tools); concurrent cracks may reorder rows under you.
   T ValueAtUnsafe(size_t pos) const { return values_[pos]; }
-  /// Unsynchronized rowid access (same caveat as ValueAtUnsafe).
-  RowId RowIdAtUnsafe(size_t pos) const { return rowids_[pos]; }
-  /// Unsynchronized payload access (same caveat as ValueAtUnsafe).
+  /// Unsynchronized payload access (same caveat as ValueAtUnsafe). Inside
+  /// a select visitor the positions of the visited run are latched, so
+  /// payload reads at run.pos + i are safe there.
   int64_t PayloadAtUnsafe(size_t payload_idx, size_t pos) const {
     return payloads_[payload_idx][pos];
   }
@@ -446,18 +426,39 @@ class CrackerColumn {
   }
 
  private:
-  /// The scan loop of ScanRange; the caller holds the column read latch
-  /// and \p range lies within the column.
-  template <typename Fn>
-  void ScanLatched(PositionRange range, Fn& fn) const {
-    if (range.begin < range.end) {
-      const uint64_t nbytes = static_cast<uint64_t>(range.size()) *
-                              (sizeof(T) + sizeof(RowId));
-      static obs::Counter& scan_bytes =
-          obs::MetricsRegistry::Global().GetCounter("holix_scan_bytes_total");
-      scan_bytes.Inc(nbytes);
-      obs::TraceAddBytesScanned(nbytes);
+  /// The positions of [low, high) under the caller's column read latch.
+  PositionRange CrackRangeLatched(T low, std::optional<T> high,
+                                  const CrackConfig& cfg) {
+    // Exact hit: both bounds already are boundaries -> no reorganization.
+    {
+      std::shared_lock<std::shared_mutex> lk(tree_mu_);
+      if (index_.HasBoundary(low) && (!high || index_.HasBoundary(*high))) {
+        const size_t b = index_.FindPiece(low, size()).begin;
+        const size_t e = high ? index_.FindPiece(*high, size()).begin : size();
+        stats_.exact_hits.fetch_add(1, std::memory_order_relaxed);
+        return {b, e};
+      }
     }
+    // Two two-way cracks, also when both bounds share one piece: the
+    // vectorized kernels beat a scalar three-way pass, and the second crack
+    // only touches the piece that holds `high` after the first.
+    const size_t b = CrackAtBlocking(low, cfg);
+    const size_t e = high ? CrackAtBlocking(*high, cfg) : size();
+    return {b, e};
+  }
+
+  /// Hands \p range to \p visit piece by piece, each run under its piece's
+  /// read latch so concurrent cracks of the same pieces cannot tear rows.
+  /// The caller holds the column read latch the range was selected under.
+  template <typename Visit>
+  void VisitLatched(PositionRange range, Visit& visit) const {
+    if (range.empty()) return;
+    const uint64_t nbytes =
+        static_cast<uint64_t>(range.size()) * (sizeof(T) + sizeof(RowId));
+    static obs::Counter& scan_bytes =
+        obs::MetricsRegistry::Global().GetCounter("holix_scan_bytes_total");
+    scan_bytes.Inc(nbytes);
+    obs::TraceAddBytesScanned(nbytes);
     size_t pos = range.begin;
     while (pos < range.end) {
       PieceRef<T> piece;
@@ -479,7 +480,8 @@ class CrackerColumn {
         continue;
       }
       const size_t stop = std::min(range.end, cur.end);
-      for (size_t i = pos; i < stop; ++i) fn(values_[i], rowids_[i]);
+      visit(RowRun<T>{values_.data() + pos, rowids_.data() + pos, stop - pos,
+                      pos, range.size()});
       piece.latch->UnlockRead();
       pos = stop;
     }
@@ -490,7 +492,6 @@ class CrackerColumn {
   void ApplyTakenLocked(std::vector<std::pair<T, RowId>> ins,
                         std::vector<std::pair<T, RowId>> del) {
     if (ins.empty() && del.empty()) return;
-    layout_epoch_.fetch_add(1, std::memory_order_relaxed);
     auto nodes = index_.CollectBoundaries();
     for (const auto& [v, rid] : ins) RippleInsert(nodes, v, rid);
     for (const auto& [v, rid] : del) RippleDelete(nodes, v, rid);
@@ -685,10 +686,6 @@ class CrackerColumn {
   mutable RwSpinLatch column_latch_;
   std::atomic<size_t> num_boundaries_{0};
   std::atomic<size_t> row_count_{0};
-  /// Bumped by every Ripple merge (under the exclusive column latch), which
-  /// is what shifts rows between positions; cracks only reorder rows
-  /// within a piece and leave it alone.
-  std::atomic<uint64_t> layout_epoch_{0};
 
   PendingUpdates<T> pending_;
   CrackStats stats_;

@@ -15,9 +15,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -140,15 +140,16 @@ class CrackerIndex {
     return ref;
   }
 
-  /// In-order (ascending value) visit of every boundary node.
-  void ForEachBoundary(const std::function<void(Node&)>& fn) {
-    ForEachRec(root_.get(), fn);
+  /// In-order (ascending value) visit of every boundary node: fn(Node&),
+  /// or fn(const Node&) through a const tree, for readers (piece
+  /// statistics, invariant checks) that only hold a shared tree lock.
+  template <typename Fn>
+  void ForEachBoundary(Fn&& fn) {
+    InOrder(root_.get(), fn);
   }
-
-  /// Read-only in-order visit, for const readers (piece statistics,
-  /// invariant checks) that only need a shared tree lock.
-  void ForEachBoundary(const std::function<void(const Node&)>& fn) const {
-    ForEachConstRec(root_.get(), fn);
+  template <typename Fn>
+  void ForEachBoundary(Fn&& fn) const {
+    InOrder(static_cast<const Node*>(root_.get()), fn);
   }
 
   /// Collects boundary nodes in ascending value order.
@@ -226,19 +227,13 @@ class CrackerIndex {
     Rebalance(n);
   }
 
-  void ForEachRec(Node* n, const std::function<void(Node&)>& fn) {
+  /// The one in-order walk; \p N is Node or const Node.
+  template <typename N, typename Fn>
+  static void InOrder(N* n, Fn& fn) {
     if (n == nullptr) return;
-    ForEachRec(n->left.get(), fn);
+    InOrder(static_cast<N*>(n->left.get()), fn);
     fn(*n);
-    ForEachRec(n->right.get(), fn);
-  }
-
-  static void ForEachConstRec(const Node* n,
-                              const std::function<void(const Node&)>& fn) {
-    if (n == nullptr) return;
-    ForEachConstRec(n->left.get(), fn);
-    fn(*n);
-    ForEachConstRec(n->right.get(), fn);
+    InOrder(static_cast<N*>(n->right.get()), fn);
   }
 
   std::unique_ptr<Node> root_;

@@ -122,7 +122,9 @@ class Database {
   /// Pending-queue delete of one row holding \p value. Resolves the row via
   /// the unit select [value, Next(value)) — the open top at the element
   /// type's maximum — so any representable value, including that maximum,
-  /// is deletable. \return true when a matching row was found.
+  /// is deletable. The select reads the row under the latch it cracked in,
+  /// so a concurrent Ripple merge cannot hide a present row. \return true
+  /// when a matching row was found.
   bool Delete(const ColumnHandle& column, KeyScalar value,
               const QueryContext& qctx = {});
 

@@ -781,31 +781,25 @@ class CrackingExecutor : public ExecutorBase {
       T v{};
       if (!KeyFromScalar<T>(value, &v)) return false;
       auto cracker = EnsureCracker<T>(e, qctx);
-      const CrackConfig cfg = QueryCrackConfig(qctx);
       // Resolve the rowid of one matching row: select the unit range of v
       // (this is itself an index-refining access; at the order's top it is
       // the open top, which keeps the type's maximum key deletable) and
-      // take the first qualifying rowid. A concurrent Ripple merge (another client's
-      // update, a holistic worker) may shift positions between the select
-      // and the read; the scan then visits nothing and the select is
-      // repeated, as in SelectScan — giving up would report a present row
-      // as absent.
+      // read one row of it while the select still holds the column latch.
+      // The unit range is one piece, so the select visits one run holding
+      // every duplicate of v, and only its first row is read.
       using KT = KeyTraits<T>;
       const std::optional<T> unit_end =
           KT::IsHighest(v) ? std::nullopt : std::optional<T>(KT::Next(v));
-      for (;;) {
-        uint64_t layout = 0;
-        const PositionRange r = cracker->SelectRange(v, unit_end, cfg, &layout);
-        if (r.empty()) return false;
-        RowId rid = 0;
-        if (!cracker->ScanRangeAt({r.begin, r.begin + 1}, layout,
-                                  [&](T, RowId rr) { rid = rr; })) {
-          continue;
-        }
-        cracker->pending().AddDelete(v, rid);
-        if (deleted_rid != nullptr) *deleted_rid = rid;
-        return true;
-      }
+      RowId rid = 0;
+      const PositionRange r =
+          cracker->SelectRange(v, unit_end, QueryCrackConfig(qctx),
+                               [&](const RowRun<T>& run) {
+                                 rid = run.rowids[0];
+                               });
+      if (r.empty()) return false;
+      cracker->pending().AddDelete(v, rid);
+      if (deleted_rid != nullptr) *deleted_rid = rid;
+      return true;
     });
   }
 
@@ -816,8 +810,7 @@ class CrackingExecutor : public ExecutorBase {
     return DispatchIndexableType(e.type(), [&](auto tag) -> size_t {
       using T = typename decltype(tag)::type;
       const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return 0;
-      return Select<T>(e, b, qctx, nullptr).size();
+      return b.empty ? 0 : Select<T>(e, b, qctx);
     });
   }
 
@@ -829,8 +822,10 @@ class CrackingExecutor : public ExecutorBase {
       const Bounds<T> b = ClampBounds<T>(lo, hi);
       typename KeyTraits<T>::Sum sum = 0;
       if (!b.empty) {
-        SelectScan<T>(e, b, qctx, [&](T v, RowId) {
-          sum += static_cast<typename KeyTraits<T>::Sum>(v);
+        Select<T>(e, b, qctx, [&](const RowRun<T>& run) {
+          for (size_t i = 0; i < run.size; ++i) {
+            sum += static_cast<typename KeyTraits<T>::Sum>(run.values[i]);
+          }
         });
       }
       return WrapSum<T>(sum);
@@ -845,8 +840,10 @@ class CrackingExecutor : public ExecutorBase {
       const Bounds<T> b = ClampBounds<T>(lo, hi);
       PositionList out;
       if (!b.empty) {
-        SelectScan<T>(e, b, qctx, [&](T, RowId rid) { out.push_back(rid); },
-                      &out);
+        Select<T>(e, b, qctx, [&](const RowRun<T>& run) {
+          out.reserve(run.selected);
+          out.insert(out.end(), run.rowids, run.rowids + run.size);
+        });
       }
       return out;
     });
@@ -868,7 +865,9 @@ class CrackingExecutor : public ExecutorBase {
         using P = typename decltype(ptag)::type;
         if (b.empty) return WrapSum<P>(0);
         return PositionalSum<P>(pe, [&](auto&& add) {
-          SelectScan<W>(we, b, qctx, [&](W, RowId rid) { add(rid); });
+          Select<W>(we, b, qctx, [&](const RowRun<W>& run) {
+            for (size_t i = 0; i < run.size; ++i) add(run.rowids[i]);
+          });
         });
       });
     });
@@ -884,8 +883,7 @@ class CrackingExecutor : public ExecutorBase {
     DispatchIndexableType(e.type(), [&](auto tag) {
       using T = typename decltype(tag)::type;
       const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return;
-      Select<T>(e, b, qctx, nullptr);
+      if (!b.empty) Select<T>(e, b, qctx);
     });
   }
 
@@ -910,35 +908,19 @@ class CrackingExecutor : public ExecutorBase {
     return e.EnsureCracker<T>([&] { OnCrackerInstalled(e, qctx); });
   }
 
-  template <typename T>
-  PositionRange Select(ColumnEntry& e, const Bounds<T>& b,
-                       const QueryContext& qctx,
-                       std::shared_ptr<CrackerColumn<T>>* out,
-                       uint64_t* layout = nullptr) {
+  /// Selects \p b through the attribute's cracker column and returns the
+  /// selected row count. A \p visit callable is fed every qualifying
+  /// RowRun<T> while the select still holds the column latch its cracks
+  /// ran under, so no concurrent Ripple merge (another client's update, a
+  /// holistic worker) can shift the rows in between.
+  template <typename T, typename Visit = std::nullptr_t>
+  size_t Select(ColumnEntry& e, const Bounds<T>& b, const QueryContext& qctx,
+                Visit&& visit = nullptr) {
     auto cracker = EnsureCracker<T>(e, qctx);
-    const CrackConfig cfg = QueryCrackConfig(qctx);
-    const PositionRange r = cracker->SelectRange(b.lo, b.hi, cfg, layout);
+    const size_t n =
+        cracker->SelectRange(b.lo, b.hi, QueryCrackConfig(qctx), visit).size();
     AfterSelect(e);
-    if (out != nullptr) *out = std::move(cracker);
-    return r;
-  }
-
-  /// Selects \p b and feeds every qualifying row to fn(value, rowid); \p
-  /// rowids, when given, is reserved for the selected row count first. A
-  /// concurrent Ripple merge (another client's update, a holistic worker)
-  /// may shift the selected positions before the scan; the scan then
-  /// visits nothing and the select is repeated.
-  template <typename T, typename Fn>
-  void SelectScan(ColumnEntry& e, const Bounds<T>& b,
-                  const QueryContext& qctx, Fn&& fn,
-                  PositionList* rowids = nullptr) {
-    std::shared_ptr<CrackerColumn<T>> cracker;
-    for (;;) {
-      uint64_t layout = 0;
-      const PositionRange r = Select<T>(e, b, qctx, &cracker, &layout);
-      if (rowids != nullptr) rowids->reserve(r.size());
-      if (cracker->ScanRangeAt(r, layout, fn)) return;
-    }
+    return n;
   }
 };
 

@@ -88,7 +88,8 @@ class QueryExecutor {
   virtual RowId Insert(const ColumnHandle& column, KeyScalar value,
                        const QueryContext& qctx);
 
-  /// Pending-queue delete of one matching row; cracking modes only. When
+  /// Pending-queue delete of one matching row, read by its unit-range
+  /// select under the latch it cracked in; cracking modes only. When
   /// \p deleted_rid is non-null and a row was deleted, receives its rowid
   /// (the durability layer logs the resolved row so replay deletes exactly
   /// the row the original call removed).

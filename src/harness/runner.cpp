@@ -143,12 +143,4 @@ ConcurrentRunResult RunWorkloadConcurrentChecked(
   return {seconds, checksum.load(std::memory_order_relaxed)};
 }
 
-double RunWorkloadConcurrent(Database& db, const std::string& table,
-                             const std::vector<std::string>& columns,
-                             const std::vector<RangeQuery>& queries,
-                             size_t clients) {
-  return RunWorkloadConcurrentChecked(db, table, columns, queries, clients)
-      .seconds;
-}
-
 }  // namespace holix

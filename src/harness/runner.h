@@ -65,10 +65,4 @@ ConcurrentRunResult RunWorkloadConcurrentChecked(
     const std::vector<std::string>& columns,
     const std::vector<RangeQuery>& queries, size_t clients);
 
-/// Back-compat shim: seconds only.
-double RunWorkloadConcurrent(Database& db, const std::string& table,
-                             const std::vector<std::string>& columns,
-                             const std::vector<RangeQuery>& queries,
-                             size_t clients);
-
 }  // namespace holix

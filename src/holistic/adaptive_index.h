@@ -39,6 +39,9 @@ class AdaptiveIndex {
   virtual size_t SizeBytes() const = 0;
   /// Life counters (accesses f_I, exact hits f_Ih, cracks, ...).
   virtual const CrackStats& stats() const = 0;
+  /// True when the index holds update history that its base column lacks;
+  /// such an index cannot be dropped and rebuilt (storage-budget eviction).
+  virtual bool HasUpdateHistory() const = 0;
 
   /// One refinement step: pick a random pivot in the attribute's domain and
   /// crack the piece it falls into, with try-latch semantics. Implementors
@@ -92,6 +95,9 @@ class CrackerAdaptiveIndex : public AdaptiveIndex {
     return column_->size() * (sizeof(T) + sizeof(RowId));
   }
   const CrackStats& stats() const override { return column_->stats(); }
+  bool HasUpdateHistory() const override {
+    return column_->pending().HasHistory();
+  }
 
   bool RefineAtRandomPivot(Rng& rng, const CrackConfig& cfg) override {
     const T lo = column_->MinValue();

@@ -159,12 +159,15 @@ size_t StatsStore::TotalPieces() const {
 bool StatsStore::EvictForLocked(size_t needed_bytes,
                                 std::vector<std::string>* evicted) {
   // Least-frequently-used first: fewest user-query accesses. Optimal
-  // indices are auxiliary data too and participate in eviction.
+  // indices are auxiliary data too and participate in eviction. An index
+  // with update history does not: eviction drops the index, and with it
+  // the only copy of the column's inserted and deleted rows.
   while (total_bytes_ + needed_bytes > budget_bytes_) {
     const Entry* victim = nullptr;
     const std::string* victim_name = nullptr;
     uint64_t victim_accesses = 0;
     for (const auto& [name, e] : entries_) {
+      if (e.index->HasUpdateHistory()) continue;
       const uint64_t acc =
           e.index->stats().accesses.load(std::memory_order_relaxed);
       if (victim == nullptr || acc < victim_accesses) {

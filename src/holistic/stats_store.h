@@ -60,7 +60,9 @@ class StatsStore {
 
   /// Registers \p index under \p kind. If the storage budget would be
   /// exceeded, least-frequently-used indices are evicted first (their names
-  /// are appended to \p evicted so the owner can drop the cracker columns).
+  /// are appended to \p evicted so the owner can drop the cracker columns);
+  /// an index with update history (AdaptiveIndex::HasUpdateHistory) is
+  /// never evicted.
   /// \return false when the index cannot fit even after evictions.
   bool Register(std::shared_ptr<AdaptiveIndex> index, ConfigKind kind,
                 std::vector<std::string>* evicted = nullptr);

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -221,6 +222,15 @@ std::vector<WalRecord> ReadWalFile(const std::string& path, bool* torn_tail) {
   data.resize(off);
 
   constexpr size_t kHeaderSize = sizeof(kWalMagic) + 8;
+  // A crash between creating an epoch's file and making its header durable
+  // leaves a prefix of the header, often nothing at all. No record can
+  // follow a header that never became durable: the log is empty and torn.
+  const size_t magic_seen = std::min(data.size(), sizeof(kWalMagic));
+  if (data.size() < kHeaderSize &&
+      std::equal(data.begin(), data.begin() + magic_seen, kWalMagic)) {
+    if (torn_tail != nullptr) *torn_tail = true;
+    return out;
+  }
   if (data.size() < kHeaderSize ||
       std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
     throw std::runtime_error("wal " + path + ": bad magic");

@@ -111,9 +111,11 @@ class WalWriter {
 /// Reads every intact record of \p path in file (= LSN) order, stopping
 /// silently at a torn tail. \p torn_tail (optional) reports whether a
 /// partial/corrupt record was detected. Returns an empty vector when the
-/// file does not exist. Throws std::runtime_error when the header is
-/// unreadable or from the wrong magic/version (that is corruption of data
-/// we believed durable, not a torn tail).
+/// file does not exist or holds only a prefix of the header (a crash while
+/// the file was being created; reported as torn). Throws
+/// std::runtime_error when the header is unreadable or from the wrong
+/// magic/version (that is corruption of data we believed durable, not a
+/// torn tail).
 std::vector<WalRecord> ReadWalFile(const std::string& path,
                                    bool* torn_tail = nullptr);
 

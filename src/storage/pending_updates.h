@@ -103,10 +103,13 @@ class PendingUpdates {
     std::erase_if(*rows, [&](RowId r) { return deleted_base_.contains(r); });
   }
 
-  /// Number of live appended rows (inserted and not deleted).
-  size_t AppendedRows() const {
+  /// True while this attribute holds any update history: queued entries,
+  /// live appended rows or deleted base rows. The history lives only here,
+  /// so a cracker column holding it cannot be rebuilt from the base array.
+  bool HasHistory() const {
     std::lock_guard<std::mutex> lk(mu_);
-    return appended_.size();
+    return !inserts_.empty() || !deletes_.empty() || !appended_.empty() ||
+           !deleted_base_.empty();
   }
 
   /// Every live appended row as (rowid, value), ascending by rowid — the

@@ -253,59 +253,60 @@ TpchCrackedExecutor::TpchCrackedExecutor(const TpchData& data) : d_(data) {
 Q1Result TpchCrackedExecutor::Q1(const Q1Params& p) {
   Q1Result r;
   auto& col = *by_shipdate_;
-  const PositionRange range =
-      col.SelectRange(std::numeric_limits<int64_t>::min(), p.ship_cutoff + 1);
-  size_t i = range.begin;
-  col.ScanRange(range, [&](int64_t, RowId) {
-    Q1Accumulate(r, col.PayloadAtUnsafe(kQty, i),
-                 DoubleFromPayloadLane(col.PayloadAtUnsafe(kPrice, i)),
-                 DoubleFromPayloadLane(col.PayloadAtUnsafe(kDisc, i)),
-                 col.PayloadAtUnsafe(kTax, i),
-                 col.PayloadAtUnsafe(kRetFlag, i),
-                 col.PayloadAtUnsafe(kLineStatus, i));
-    ++i;
-  });
+  auto accumulate = [&](const RowRun<int64_t>& run) {
+    for (size_t i = run.pos; i < run.pos + run.size; ++i) {
+      Q1Accumulate(r, col.PayloadAtUnsafe(kQty, i),
+                   DoubleFromPayloadLane(col.PayloadAtUnsafe(kPrice, i)),
+                   DoubleFromPayloadLane(col.PayloadAtUnsafe(kDisc, i)),
+                   col.PayloadAtUnsafe(kTax, i),
+                   col.PayloadAtUnsafe(kRetFlag, i),
+                   col.PayloadAtUnsafe(kLineStatus, i));
+    }
+  };
+  col.SelectRange(std::numeric_limits<int64_t>::min(), p.ship_cutoff + 1, {},
+                  accumulate);
   return r;
 }
 
 Q6Result TpchCrackedExecutor::Q6(const Q6Params& p) {
   Q6Result r;
   auto& col = *by_shipdate_;
-  const PositionRange range = col.SelectRange(p.date_lo, p.date_lo + 365);
-  size_t i = range.begin;
-  col.ScanRange(range, [&](int64_t, RowId) {
-    const double disc = DoubleFromPayloadLane(col.PayloadAtUnsafe(kDisc, i));
-    if (disc >= p.discount_lo && disc <= p.discount_hi &&
-        col.PayloadAtUnsafe(kQty, i) < p.max_quantity) {
-      r.revenue += DoubleFromPayloadLane(col.PayloadAtUnsafe(kPrice, i)) * disc;
+  auto accumulate = [&](const RowRun<int64_t>& run) {
+    for (size_t i = run.pos; i < run.pos + run.size; ++i) {
+      const double disc = DoubleFromPayloadLane(col.PayloadAtUnsafe(kDisc, i));
+      if (disc >= p.discount_lo && disc <= p.discount_hi &&
+          col.PayloadAtUnsafe(kQty, i) < p.max_quantity) {
+        r.revenue += DoubleFromPayloadLane(col.PayloadAtUnsafe(kPrice, i)) * disc;
+      }
     }
-    ++i;
-  });
+  };
+  col.SelectRange(p.date_lo, p.date_lo + 365, {}, accumulate);
   return r;
 }
 
 Q12Result TpchCrackedExecutor::Q12(const Q12Params& p) {
   Q12Result r;
   auto& col = *by_receiptdate_;
-  const PositionRange range = col.SelectRange(p.date_lo, p.date_lo + 365);
-  size_t i = range.begin;
-  col.ScanRange(range, [&](int64_t receiptdate, RowId) {
-    const int64_t mode = col.PayloadAtUnsafe(kMode, i);
-    const int64_t commit = col.PayloadAtUnsafe(kCommit, i);
-    const int64_t ship = col.PayloadAtUnsafe(kShip, i);
-    if ((mode == p.mode1 || mode == p.mode2) && commit < receiptdate &&
-        ship < commit) {
-      const size_t slot = (mode == p.mode1) ? 0 : 1;
-      const int64_t prio =
-          d_.o_orderpriority[col.PayloadAtUnsafe(kOrderKey, i) - 1];
-      if (prio <= 1) {
-        r.high_line_count[slot] += 1;
-      } else {
-        r.low_line_count[slot] += 1;
+  auto accumulate = [&](const RowRun<int64_t>& run) {
+    for (size_t k = 0; k < run.size; ++k) {
+      const size_t i = run.pos + k;
+      const int64_t mode = col.PayloadAtUnsafe(kMode, i);
+      const int64_t commit = col.PayloadAtUnsafe(kCommit, i);
+      const int64_t ship = col.PayloadAtUnsafe(kShip, i);
+      if ((mode == p.mode1 || mode == p.mode2) && commit < run.values[k] &&
+          ship < commit) {
+        const size_t slot = (mode == p.mode1) ? 0 : 1;
+        const int64_t prio =
+            d_.o_orderpriority[col.PayloadAtUnsafe(kOrderKey, i) - 1];
+        if (prio <= 1) {
+          r.high_line_count[slot] += 1;
+        } else {
+          r.low_line_count[slot] += 1;
+        }
       }
     }
-    ++i;
-  });
+  };
+  col.SelectRange(p.date_lo, p.date_lo + 365, {}, accumulate);
   return r;
 }
 

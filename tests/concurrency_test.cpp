@@ -146,8 +146,7 @@ TEST(Concurrency, ConcurrentScansSeeStableRanges) {
   const int64_t domain = 1 << 18;
   const auto base = MakeUniform(100000, domain, 6);
   CrackerColumn<int64_t> col("a", base);
-  const PositionRange r = col.SelectRange(1000, 200000);
-  const size_t expected = r.size();
+  const size_t expected = NaiveCount(base, 1000, 200000);
   std::atomic<bool> stop{false};
   std::thread workers_thread([&] {
     Rng rng(8);
@@ -157,11 +156,13 @@ TEST(Concurrency, ConcurrentScansSeeStableRanges) {
   });
   for (int i = 0; i < 50; ++i) {
     size_t seen = 0;
-    col.ScanRange(r, [&](int64_t v, RowId) {
-      ASSERT_GE(v, 1000);
-      ASSERT_LT(v, 200000);
-      ++seen;
-    });
+    const size_t n =
+        test::SelectEach<int64_t>(col, 1000, 200000, [&](int64_t v, RowId) {
+          ASSERT_GE(v, 1000);
+          ASSERT_LT(v, 200000);
+          ++seen;
+        });
+    ASSERT_EQ(n, expected);
     ASSERT_EQ(seen, expected);
   }
   stop.store(true);
@@ -195,11 +196,11 @@ TEST(Concurrency, ManyThreadsSmallColumn) {
 }
 
 TEST(Concurrency, DeleteOfPresentRowSurvivesConcurrentMerges) {
-  // Delete resolves its row with a [v, v] select and then reads the first
-  // selected position. Ripple merges triggered by another client's inserts
-  // and selects (on a disjoint range of the same column) shift positions
-  // in between; Delete must then select again, never report a present row
-  // as absent.
+  // Delete resolves its row with a [v, v + 1) select that reads the first
+  // selected row while it still holds the column latch. Ripple merges
+  // triggered by another client's inserts and selects (on a disjoint range
+  // of the same column) shift positions, but never between that select and
+  // its read: Delete must never report a present row as absent.
   constexpr int64_t kDeleted = 1000;     // values [0, kDeleted), one row each
   constexpr int64_t kBusyLow = 1 << 20;  // the merging client's range
   constexpr size_t kRows = 50000;

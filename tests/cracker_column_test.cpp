@@ -1,11 +1,14 @@
 /// Unit and property tests for CrackerColumn: select correctness against a
 /// naive reference, invariants after arbitrary crack sequences, exact-hit
-/// accounting, payload alignment, and result consumption.
+/// accounting, payload alignment, and the visiting select.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "cracking/cracker_column.h"
@@ -39,21 +42,20 @@ TEST(CrackerColumn, SingleSelectMatchesNaive) {
 TEST(CrackerColumn, SelectReturnsOnlyQualifyingValues) {
   const auto base = MakeUniform(5000, 500, 2);
   CrackerColumn<int64_t> col("a", base);
-  const PositionRange r = col.SelectRange(50, 200);
   size_t seen = 0;
-  col.ScanRange(r, [&](int64_t v, RowId) {
+  const size_t n = test::SelectEach<int64_t>(col, 50, 200, [&](int64_t v, RowId) {
     EXPECT_GE(v, 50);
     EXPECT_LT(v, 200);
     ++seen;
   });
-  EXPECT_EQ(seen, r.size());
+  EXPECT_EQ(seen, n);
+  EXPECT_EQ(n, NaiveCount(base, 50, 200));
 }
 
 TEST(CrackerColumn, RowIdsPointBackToBaseValues) {
   const auto base = MakeUniform(5000, 500, 3);
   CrackerColumn<int64_t> col("a", base);
-  const PositionRange r = col.SelectRange(100, 150);
-  col.ScanRange(r, [&](int64_t v, RowId rid) {
+  test::SelectEach<int64_t>(col, 100, 150, [&](int64_t v, RowId rid) {
     ASSERT_LT(rid, base.size());
     EXPECT_EQ(base[rid], v);
   });
@@ -131,60 +133,48 @@ TEST(CrackerColumn, SumRangeMatchesNaive) {
   for (int64_t v : base) {
     if (v >= 100 && v < 500) naive += v;
   }
-  const PositionRange r = col.SelectRange(100, 500);
   int64_t sum = 0;
-  col.ScanRange(r, [&](int64_t v, RowId) { sum += v; });
+  test::SelectEach<int64_t>(col, 100, 500, [&](int64_t v, RowId) { sum += v; });
   EXPECT_EQ(sum, naive);
 }
 
-// A range selected before a Ripple delete merge shrank the column may end
-// past the new size. Scanning it must stop at the size, not spin forever
-// looking for the piece holding a position that no longer exists.
-TEST(CrackerColumn, ScanRangeClampsToColumnShrunkByDeleteMerge) {
+// A select with a visitor holds the column read latch from its cracks to
+// its last visited row. A Ripple merge queued while the visitor runs must
+// wait for it, so the visitor sees exactly the rows that qualified before
+// the merge, and the merge lands afterwards.
+TEST(CrackerColumn, MergeWaitsForSelectVisitor) {
   CrackerColumn<int64_t> col("a", test::MakeSequential(1000));
-  const PositionRange r = col.SelectRange(900, 1000);  // ends at the tail
-  ASSERT_EQ(r.end, col.size());
-  // Rowid == value in a sequential column: delete the rows holding
-  // 950..999, then merge them, shrinking the column to 950 rows.
-  for (int64_t v = 950; v < 1000; ++v) {
-    col.pending().AddDelete(v, static_cast<RowId>(v));
-  }
-  col.MergePendingInRange(KeyTraits<int64_t>::Lowest(), std::nullopt);
-  ASSERT_EQ(col.size(), 950u);
-  size_t visited = 0;
-  col.ScanRange(r, [&](int64_t v, RowId rid) {
-    EXPECT_GE(v, 900);
-    EXPECT_LT(v, 950);  // only rows below the new size
-    EXPECT_EQ(rid, static_cast<RowId>(v));
-    ++visited;
+  col.SelectRange(100, 200);  // a boundary-separated piece below the read
+  std::atomic<bool> in_visit{false}, release{false}, merged{false};
+  std::vector<RowId> visited;
+  std::thread reader([&] {
+    test::SelectEach<int64_t>(col, 500, 600, [&](int64_t, RowId rid) {
+      if (!in_visit.exchange(true)) {
+        while (!release.load()) std::this_thread::yield();
+      }
+      visited.push_back(rid);
+    });
   });
-  EXPECT_EQ(visited, col.size() - r.begin);
+  while (!in_visit.load()) std::this_thread::yield();
+  std::thread merger([&] {
+    col.pending().AddInsert(550, 5000);  // qualifies for the read
+    col.pending().AddDelete(150, 150);   // shifts the read's rows down
+    col.MergePendingInRange(KeyTraits<int64_t>::Lowest(), std::nullopt);
+    merged.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(merged.load()) << "the merge ran inside the visit";
+  release.store(true);
+  reader.join();
+  merger.join();
+  EXPECT_TRUE(merged.load());
+  std::sort(visited.begin(), visited.end());
+  std::vector<RowId> before_merge(100);
+  for (size_t i = 0; i < before_merge.size(); ++i) before_merge[i] = 500 + i;
+  EXPECT_EQ(visited, before_merge);
+  EXPECT_EQ(col.SelectRange(500, 600).size(), 101u);  // the insert landed
+  EXPECT_EQ(col.size(), 1000u);
   EXPECT_TRUE(col.CheckInvariants());
-}
-
-// A Ripple merge in an earlier piece shifts the rows of a range selected
-// before it. ScanRangeAt detects the stale layout and visits nothing; a
-// fresh select then scans exactly the selected rows.
-TEST(CrackerColumn, ScanRangeAtRejectsRangeShiftedByMerge) {
-  CrackerColumn<int64_t> col("a", test::MakeSequential(1000));
-  uint64_t layout = 0;
-  PositionRange r = col.SelectRange(500, 600, {}, &layout);
-  col.SelectRange(100, 200);  // a boundary-separated piece below
-  col.pending().AddDelete(150, 150);
-  // The merge shifts the rows of [500, 600) one position down.
-  col.MergePendingInRange(KeyTraits<int64_t>::Lowest(), std::nullopt);
-  size_t visited = 0;
-  auto count = [&](int64_t, RowId) { ++visited; };
-  EXPECT_FALSE(col.ScanRangeAt(r, layout, count));
-  EXPECT_EQ(visited, 0u);
-
-  r = col.SelectRange(500, 600, {}, &layout);
-  int64_t sum = 0;
-  auto add = [&](int64_t v, RowId) { sum += v; };
-  EXPECT_TRUE(col.ScanRangeAt(r, layout, add));
-  EXPECT_EQ(sum, (500 + 599) * 100 / 2);
-  // An empty range needs no layout.
-  EXPECT_TRUE(col.ScanRangeAt({0, 0}, layout + 1, [&](int64_t, RowId) {}));
 }
 
 TEST(CrackerColumn, TryRefineCreatesPieces) {

@@ -196,6 +196,52 @@ TEST(Database, StorageBudgetEvictsColdIndices) {
             NaiveCount(data, 100, 5000));
 }
 
+// A budget eviction drops the victim's cracker column, and with it the
+// column's pending-update registries: the only copy of its inserted rows
+// and deleted base rows. An index with update history is never evicted.
+TEST(Database, StorageBudgetKeepsIndicesWithUpdateHistory) {
+  DatabaseOptions opts;
+  opts.mode = ExecMode::kHolistic;
+  opts.user_threads = 1;
+  opts.total_cores = 2;
+  opts.holistic.storage_budget_bytes = 700 * 1024;  // two 320 KB indices
+  Database db(opts);
+  std::vector<std::vector<int64_t>> data;
+  for (int i = 0; i < 3; ++i) {
+    data.push_back(GenerateUniformColumn(20000, kDomain, 30 + i));
+    db.LoadColumn("r", "a" + std::to_string(i), data.back());
+  }
+  const ColumnHandle a0 = db.Resolve("r", "a0");
+  const ColumnHandle a1 = db.Resolve("r", "a1");
+  const ColumnHandle a2 = db.Resolve("r", "a2");
+  // A base row of a1 whose value no other row holds, so Delete must pick it.
+  RowId victim = 0;
+  while (NaiveCount(data[1], data[1][victim], data[1][victim] + 1) != 1) {
+    ++victim;
+  }
+  const int64_t deleted = data[1][victim];
+  db.Insert(a1, KeyScalar::I64(5000000));
+  ASSERT_TRUE(db.Delete(a1, KeyScalar::I64(deleted)));
+  for (int i = 0; i < 5; ++i) test::Count(db, a0, 10, 100000);  // a0 is hot
+  test::Count(db, a2, 10, 20);  // registering a2 must evict someone
+  EXPECT_EQ(db.NumAdaptiveIndices(), 2u);
+  EXPECT_LE(db.holistic()->store().TotalBytes(),
+            opts.holistic.storage_budget_bytes);
+  EXPECT_EQ(test::Count(db, a1, 5000000, 5000001), 1u);
+  EXPECT_EQ(test::Count(db, a1, deleted, deleted + 1), 0u);
+  // A conjunction whose narrow a0 conjunct drives and whose a1 conjunct,
+  // covering every a1 value, is answered by base probes of a1: the probe
+  // must still drop the deleted row.
+  const int64_t key = data[0][victim];
+  const size_t expected = NaiveCount(data[0], key, key + 1) - 1;
+  const QueryResult r = db.Execute(
+      QuerySpec()
+          .Where(a0, KeyScalar::I64(key), KeyScalar::I64(key + 1))
+          .Where(a1, KeyScalar::I64(0), KeyScalar::I64(kDomain))
+          .Count());
+  EXPECT_EQ(static_cast<size_t>(r.values[0].i), expected);
+}
+
 TEST(Database, MultiClientHolisticConsistency) {
   DatabaseOptions opts;
   opts.mode = ExecMode::kHolistic;

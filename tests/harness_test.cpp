@@ -170,8 +170,9 @@ TEST(Runner, ConcurrentAndSequentialAgree) {
     opts.user_threads = 2;
     Database db(opts);
     LoadUniformTable(db, "r", 2, 20000, 1 << 16, 6);
-    const double wall = RunWorkloadConcurrent(db, "r", MakeAttributeNames(2),
-                                              queries, 4);
+    const double wall = RunWorkloadConcurrentChecked(
+                            db, "r", MakeAttributeNames(2), queries, 4)
+                            .seconds;
     EXPECT_GT(wall, 0.0);
     // Re-running sequentially on the already-cracked database must agree.
     EXPECT_EQ(

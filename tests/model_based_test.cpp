@@ -99,15 +99,11 @@ TEST_P(ModelBasedTest, RandomOpInterleavings) {
         const auto victim = model.AnyValue(rng);
         if (!victim.has_value()) break;
         // Resolve a matching rowid the way the engine does: unit select.
-        const PositionRange r = col.SelectRange(*victim, *victim + 1);
-        if (r.empty()) break;  // value only in pending inserts; skip
         RowId rid = 0;
-        bool got = false;
-        col.ScanRange({r.begin, r.begin + 1}, [&](int64_t, RowId rr) {
-          rid = rr;
-          got = true;
-        });
-        if (!got) break;
+        const PositionRange r = col.SelectRange(
+            *victim, *victim + 1, {},
+            [&](const RowRun<int64_t>& run) { rid = run.rowids[0]; });
+        if (r.empty()) break;  // value only in pending inserts; skip
         col.pending().AddDelete(*victim, rid);
         model.Erase(*victim);
         // Force the merge so the model and column agree immediately.

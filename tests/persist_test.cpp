@@ -212,6 +212,27 @@ TEST_F(PersistTest, WalHeaderCorruptionThrows) {
   EXPECT_THROW((void)ReadWalFile(path), std::runtime_error);
 }
 
+// A crash between creating a WAL epoch's file and making its header durable
+// leaves an empty file or a prefix of the header; recovery must read it as
+// an empty, torn log rather than refuse to start.
+TEST_F(PersistTest, WalTornHeaderReadsAsEmptyLog) {
+  const std::string path = TempPath("wal-1.log").string();
+  for (const uint64_t keep : {0, 5, 8, 12}) {
+    { WalWriter w(path, FsyncPolicy::kAlways, 1); }
+    ASSERT_TRUE(io::TruncateFile(path, keep));
+    bool torn = false;
+    EXPECT_TRUE(ReadWalFile(path, &torn).empty()) << keep << " bytes";
+    EXPECT_TRUE(torn) << keep << " bytes";
+    std::filesystem::remove(path);
+  }
+  // A short file that is not a header prefix is still corruption.
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write("XOLIX", 5);
+  }
+  EXPECT_THROW((void)ReadWalFile(path), std::runtime_error);
+}
+
 // --- Snapshot + manifest --------------------------------------------------
 
 TEST_F(PersistTest, SnapshotManifestRoundTrip) {

@@ -143,19 +143,26 @@ TEST(RecoverySoak, KillNineThenRecoverMatchesAcknowledgementOracle) {
   constexpr int kCycles = 3;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     std::filesystem::remove(ready_path);
+    const uint64_t acked_before = AckFile::Read(ack_path);
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
       RunChildWorkload(dir, ack_path, ready_path);  // never returns
     }
 
-    // Wait until the child finished load/recover + checkpoint and entered
-    // the update stream, let it run a while, then kill -9 mid-stream.
+    // Wait until the child finished load/recover + checkpoint, entered
+    // the update stream and acknowledged its first insert of this cycle,
+    // let it run a while, then kill -9 mid-stream.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(60);
     while (AckFile::Read(ready_path) == 0) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline)
           << "child never became ready";
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    while (AckFile::Read(ack_path) <= acked_before) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "child never acknowledged an insert";
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(150 + 70 * cycle));

@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,6 +68,16 @@ inline std::vector<int64_t> MakeSequential(size_t n) {
   std::vector<int64_t> v(n);
   for (size_t i = 0; i < n; ++i) v[i] = static_cast<int64_t>(i);
   return v;
+}
+
+/// Selects [lo, hi) through the visiting select and calls fn(value, rowid)
+/// for every selected row; returns the selected row count.
+template <typename T, typename Fn>
+size_t SelectEach(CrackerColumn<T>& col, T lo, std::optional<T> hi, Fn&& fn) {
+  auto each_row = [&](const RowRun<T>& run) {
+    for (size_t i = 0; i < run.size; ++i) fn(run.values[i], run.rowids[i]);
+  };
+  return col.SelectRange(lo, hi, {}, each_row).size();
 }
 
 /// A cracker-backed adaptive index over fresh uniform data.
